@@ -177,7 +177,6 @@ def main(argv=None) -> int:
     p.add_argument("--points", required=True)
     p.add_argument("--coeffs", type=_coeffs, required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--max-generations", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_decompose)
 
@@ -206,7 +205,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CubicError as exc:
+    except (CubicError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .enumeration import PointRegistry
-from .errors import EqualPoints, LineOnSurface, ParseError
+from .errors import EmptyRegistry, EqualPoints, LineOnSurface, ParseError
+from .geometry import gradient
 from .surface import on_tangent_section, secant_compose
 
 OP = "∘"  # the composition symbol used in rendered schemes
@@ -43,32 +46,57 @@ class CompositionTable:
 
 
 def build_table(registry: PointRegistry) -> CompositionTable:
-    """Evaluate all unordered pairs and all tangent-section rows."""
-    if len(registry) == 0:
-        raise ValueError("empty registry")
+    """Evaluate all unordered pairs and all tangent-section rows.
+
+    For a cubic form, F(x + t*y) has c1 = grad F(x)·y and c2 = grad F(y)·x,
+    so the whole table follows from the n gradients G and the coordinates P
+    through C = G·Pᵀ, C[i, j] = grad F(x_i)·x_j.  Row i is read off two
+    mat-vecs, c1 = P·G[i] and c2 = G·P[i]: x_j (j != i) lies on the tangent
+    section at x_i when c1[j] = 0, the line through x_i, x_j lies on the
+    surface when c1[j] = c2[j] = 0, and otherwise x_i o x_j is
+    c2[j]·x_i − c1[j]·x_j, normalized.  Only candidates no higher than the highest registry point
+    are looked up in the index.
+
+    The arrays are int64 when the largest intermediate, the unnormalized
+    height |c2·x_i − c1·x_j|_1 <= 32·max|grad F|·max|x|², stays below 2^63,
+    and Python ints otherwise, so no entry ever wraps.
+    """
+    n = len(registry)
+    if n == 0:
+        raise EmptyRegistry("empty registry")
     table = CompositionTable(registry)
-    surface = registry.surface
-    pts = registry.points
-    n = len(pts)
-    for i in range(1, n + 1):
-        xi = pts[i - 1]
-        for j in range(i + 1, n + 1):
-            try:
-                z = secant_compose(surface, xi, pts[j - 1])
-            except LineOnSurface:
-                table.undefined.add((i, j))
-                continue
-            k = registry.index.get(z.coords)
+    form = registry.surface.form
+    coords = [sp.coords for sp in registry.points]
+    grads = [gradient(form, sp.point) for sp in registry.points]
+    gmax = max(abs(c) for g in grads for c in g)
+    xmax = max(abs(c) for x in coords for c in x)
+    dtype = np.int64 if 32 * gmax * xmax**2 < 2**63 else object
+    P = np.array(coords, dtype=dtype)
+    G = np.array(grads, dtype=dtype)
+    cap = max(sp.height for sp in registry.points)
+    index = registry.index
+    for i in range(n):
+        c1 = P @ G[i]
+        c2 = G @ P[i]
+        on_section = c1 == 0
+        on_section[i] = False
+        table.tangent[i + 1] = tuple((np.flatnonzero(on_section) + 1).tolist())
+        a, b = c1[i + 1 :], c2[i + 1 :]
+        on_surface = (a == 0) & (b == 0)
+        for j in (np.flatnonzero(on_surface) + i + 2).tolist():
+            table.undefined.add((i + 1, j))
+        defined = ~on_surface
+        js = np.flatnonzero(defined) + i + 1
+        raw = b[defined, None] * P[i] - a[defined, None] * P[js]
+        g = np.gcd.reduce(raw, axis=1)
+        low = np.abs(raw).sum(axis=1) // g <= cap
+        z, js = raw[low] // g[low, None], js[low]
+        lead = z[np.arange(len(z)), (z != 0).argmax(axis=1)]
+        z[lead < 0] *= -1
+        for j, key in zip(js.tolist(), z.tolist()):
+            k = index.get(tuple(key))
             if k is not None:
-                table.in_vh[(i, j)] = k
-    for i in range(1, n + 1):
-        xi = pts[i - 1]
-        row = [
-            j
-            for j in range(1, n + 1)
-            if j != i and on_tangent_section(surface, pts[j - 1], xi)
-        ]
-        table.tangent[i] = tuple(row)
+                table.in_vh[(i + 1, j + 1)] = k
     return table
 
 

@@ -214,7 +214,10 @@ def load_registry(path, surface: CubicSurface | tuple) -> PointRegistry:
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("height:"):
-                    bound = int(body.split(":", 1)[1])
+                    try:
+                        bound = int(body.split(":", 1)[1])
+                    except ValueError:
+                        raise ParseError(f"line {lineno}: cannot parse {line!r}")
                 continue
             try:
                 raw = tuple(int(tok) for tok in line.split())

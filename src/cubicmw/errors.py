@@ -60,6 +60,10 @@ class UnsortedInput(CubicError):
     pass
 
 
+class EmptyRegistry(CubicError):
+    pass
+
+
 # split-surface model
 class DegeneratePosition(CubicError):
     pass

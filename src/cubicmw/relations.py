@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .enumeration import PointRegistry
-from .errors import CubicError, EqualPoints, LineOnSurface
+from .errors import CubicError, DegenerateSample, EqualPoints, LineOnSurface
 from .geometry import Field, normalize, polar_coeffs
 from .planecubic import PlaneCubic, curve_points, group_add
 from .geometry import CubicForm
@@ -36,12 +36,20 @@ class SuiteResult:
         )
 
 
+def _check_size(pts, k: int) -> None:
+    if len(pts) < k:
+        raise DegenerateSample(
+            f"the suite draws {k} distinct points, the registry has {len(pts)}"
+        )
+
+
 def involution_suite(registry: PointRegistry, trials: int, seed: int = 0) -> SuiteResult:
     """x o (x o y) = y whenever x o y != x; tangency at x is the EqualPoints case."""
     rng = random.Random(seed)
     res = SuiteResult("involution")
     surface = registry.surface
     pts = registry.points
+    _check_size(pts, 2)
     while res.passes + res.failures < trials:
         x, y = rng.sample(pts, 2)
         try:
@@ -75,6 +83,7 @@ def sextuple_suite(registry: PointRegistry, trials: int, seed: int = 0) -> Suite
     res = SuiteResult("sextuple relation")
     surface = registry.surface
     pts = registry.points
+    _check_size(pts, 3)
     while res.passes + res.failures < trials:
         x, y, z = rng.sample(pts, 3)
         try:
@@ -100,6 +109,7 @@ def tangent_consistency_suite(
     res = SuiteResult("tangent consistency")
     surface = registry.surface
     pts = registry.points
+    _check_size(pts, 2)
     for _ in range(trials):
         x, y = rng.sample(pts, 2)
         rel = on_tangent_section(surface, x, y)

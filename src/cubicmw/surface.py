@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EqualPoints, LineOnSurface, NotOnSurface
+from .errors import EqualPoints, InvalidCoefficients, LineOnSurface, NotOnSurface
 from .geometry import CubicForm, ProjPoint, eval_form, gradient, normalize, polar_coeffs
 
 
@@ -28,7 +28,9 @@ class CubicSurface:
         diag = {e.index(3): c for e, c in self.form.coeffs.items() if 3 in e}
         if len(diag) == len(self.form.coeffs) and self.form.dim == 4:
             if len(diag) < 4:
-                raise ValueError("diagonal surface with a zero coefficient is singular")
+                raise InvalidCoefficients(
+                    "diagonal surface with a zero coefficient is singular"
+                )
 
     @classmethod
     def diagonal(cls, coefficients, label: str = "") -> "CubicSurface":

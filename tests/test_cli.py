@@ -102,3 +102,30 @@ def test_plane_closure_q_requires_cap(capsys):
     code, _, stderr = run(capsys, "plane-closure", "--field", "q")
     assert code == 1
     assert "error: DegenerateSeeds" in stderr
+
+
+@pytest.mark.parametrize(
+    "argv, points_text, name",
+    [
+        (["compose", "--coeffs", "1,0,3,4", "--x", "1,0,1,-1", "--y", "1,1,-1,0"],
+         None, "InvalidCoefficients"),
+        (["decompose", "--points", "{pts}", "--coeffs", "1,2,3,4", "--report", "{report}"],
+         "", "EmptyRegistry"),
+        (["decompose", "--points", "{pts}", "--coeffs", "1,2,3,4", "--report", "{report}"],
+         None, "FileNotFoundError"),
+        (["decompose", "--points", "{pts}", "--coeffs", "1,2,3,4", "--report", "{report}"],
+         "# height: abc\n1 0 1 -1\n", "ParseError"),
+        (["verify-relations", "--height", "3", "--trials", "10"], None, "DegenerateSample"),
+    ],
+    ids=["zero-coefficient", "empty-points", "missing-points", "bad-height-header",
+         "too-few-points"],
+)
+def test_bad_input_is_one_error_line(tmp_path, capsys, argv, points_text, name):
+    pts = tmp_path / "pts.txt"
+    if points_text is not None:
+        pts.write_text(points_text)
+    paths = {"pts": str(pts), "report": str(tmp_path / "report.json")}
+    code, _, stderr = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 1
+    assert stderr.startswith(f"error: {name}: ")
+    assert len(stderr.splitlines()) == 1

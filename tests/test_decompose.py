@@ -3,13 +3,17 @@ import random
 import pytest
 
 from cubicmw import (
+    CubicSurface,
+    PointRegistry,
     build_report,
     build_table,
     enumerate_points,
+    normalize,
     on_tangent_section,
     render_scheme,
     secant_compose,
     strong_decompositions,
+    surface_point,
     weak_closure,
 )
 from cubicmw.decompose import (
@@ -19,7 +23,7 @@ from cubicmw.decompose import (
     evaluate_scheme,
     parse_scheme,
 )
-from cubicmw.errors import ParseError
+from cubicmw.errors import EqualPoints, LineOnSurface, ParseError
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +34,85 @@ def registry_300():
 @pytest.fixture(scope="module")
 def table_300(registry_300):
     return build_table(registry_300)
+
+
+def table_by_pairs(registry):
+    """Reference table: one secant composition and one tangent test per pair."""
+    surface = registry.surface
+    pts = registry.points
+    n = len(pts)
+    in_vh, undefined, tangent = {}, set(), {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            try:
+                z = secant_compose(surface, pts[i - 1], pts[j - 1])
+            except LineOnSurface:
+                undefined.add((i, j))
+                continue
+            k = registry.index.get(z.coords)
+            if k is not None:
+                in_vh[(i, j)] = k
+    for i in range(1, n + 1):
+        tangent[i] = tuple(
+            j
+            for j in range(1, n + 1)
+            if j != i and on_tangent_section(surface, pts[j - 1], pts[i - 1])
+        )
+    return in_vh, undefined, tangent
+
+
+@pytest.fixture(scope="module")
+def big_registry():
+    """Fermat points with coordinates near 10^6 plus some of their compositions.
+
+    Gradients times squared coordinates exceed 2^63 here, so the table is
+    built on Python ints; lines like x1 + x2 = x3 + x4 = 0 lie on the surface.
+    """
+    surface = CubicSurface.diagonal((1, 1, 1, 1))
+    small = enumerate_points((1, 1, 1, 1), 3).points
+    big = []
+    for n in (10**6, 10**6 + 1):
+        for raw in ((1, -1, n, -n), (1, n, -1, -n), (n, -n, 1, -1)):
+            big.append(surface_point(surface, normalize(raw)))
+    composed = []
+    for x in big:
+        for y in big + small[:4]:
+            try:
+                composed.append(secant_compose(surface, x, y))
+            except (EqualPoints, LineOnSurface):
+                pass
+    pts = {sp.coords: sp for sp in small + big + composed}
+    ordered = sorted(pts.values(), key=lambda sp: (sp.height, sp.coords))
+    return PointRegistry(surface, ordered[-1].height, ordered)
+
+
+@pytest.fixture(scope="module")
+def big_table(big_registry):
+    return build_table(big_registry)
+
+
+@pytest.mark.parametrize("coeffs, bound", [((1, 2, 3, 4), 300), ((1, 1, 1, 1), 24)])
+def test_table_matches_pair_oracle(coeffs, bound):
+    registry = enumerate_points(coeffs, bound)
+    table = build_table(registry)
+    assert (table.in_vh, table.undefined, table.tangent) == table_by_pairs(registry)
+
+
+def test_table_matches_pair_oracle_beyond_int64(big_registry, big_table):
+    xmax = max(abs(c) for sp in big_registry.points for c in sp.coords)
+    assert xmax**4 > 2**63
+    table = big_table
+    assert (table.in_vh, table.undefined, table.tangent) == table_by_pairs(big_registry)
+    assert table.undefined
+    assert any(big_registry.point(k).height > 10**6 for k in table.in_vh.values())
+
+
+def test_table_holds_plain_ints(table_300, big_table):
+    for table in (table_300, big_table):
+        values = [v for key, k in table.in_vh.items() for v in (*key, k)]
+        values += [v for pair in table.undefined for v in pair]
+        values += [v for i, row in table.tangent.items() for v in (i, *row)]
+        assert all(type(v) is int for v in values)
 
 
 def test_table_symmetry(table_300):

@@ -12,7 +12,7 @@ from cubicmw import (
     surface_point,
     translate,
 )
-from cubicmw.errors import EqualPoints, LineOnSurface, NotOnSurface
+from cubicmw.errors import EqualPoints, InvalidCoefficients, LineOnSurface, NotOnSurface
 from cubicmw.linalg import rank
 from cubicmw.geometry import RATIONALS
 
@@ -27,7 +27,7 @@ def test_surface_point_validates(zagier_surface):
 
 
 def test_diagonal_surface_rejects_zero_coefficient():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidCoefficients):
         CubicSurface.diagonal((1, 0, 3, 4))
 
 
