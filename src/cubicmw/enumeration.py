@@ -2,10 +2,15 @@
 
 `enumerate_points` finds every primitive projective solution of
 a1*x1^3 + a2*x2^3 + a3*x3^3 + a4*x4^3 = 0 with |x1|+|x2|+|x3|+|x4| <= H
-by a meet-in-the-middle join on pair sums: all values a1*x1^3+a2*x2^3 are
-tabulated and matched against -(a3*x3^3+a4*x4^3).  This is O(H^2) work and
-handles H = 1100 in seconds.  `brute_force_oracle` is an independent
-pure-Python exhaustive loop used to cross-check it in tests.
+by a sort-merge join of the pair values a1*u^3 + a2*v^3 against
+-(a3*u^3 + a4*v^3), both over |u|+|v| <= H, one value range [lo, hi) at a
+time.  Within a row u the value is monotone in v, so an exact integer cube
+root gives each row's slice of a range.  Only one range's entries exist at
+a time: O(H^2 log H) work in O(H) plus about _CHUNK_ENTRIES entries a side,
+a few MB at any H.  Equal values fall into one range, so no match is lost
+at an edge.  Pair values must stay below 2^62 (int64), else BoundTooLarge.
+`brute_force_oracle` is an independent pure-Python exhaustive loop used to
+cross-check it in tests.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .geometry import RATIONALS, ProjPoint, eval_form, normalize
 from .surface import CubicSurface, SurfacePoint, height
 
 _ORACLE_CAP = 200
+_CHUNK_ENTRIES = 1 << 15  # pair entries a side in one value-range chunk, on average
 
 
 @dataclass
@@ -71,26 +77,44 @@ def _sorted_registry(surface: CubicSurface, bound: int, vectors) -> PointRegistr
     ordered = sorted(pts, key=lambda x: (height(x), x.coords))
     sps = []
     for x in ordered:
-        assert eval_form(surface.form, x) == 0
+        if eval_form(surface.form, x) != 0:
+            raise NotOnSurface(f"{x} is not on the surface")
         sps.append(SurfacePoint(x, height(x)))
     return PointRegistry(surface, bound, sps)
 
 
-def _pair_table(ai: int, aj: int, bound: int):
-    """Arrays (u, v, value, height) over all |u|+|v| <= bound."""
-    rng = np.arange(-bound, bound + 1, dtype=np.int64)
-    us = []
-    vs = []
-    for u in range(-bound, bound + 1):
-        m = bound - abs(u)
-        block = rng[bound - m : bound + m + 1]
-        us.append(np.full(block.shape, u, dtype=np.int64))
-        vs.append(block)
-    u = np.concatenate(us)
-    v = np.concatenate(vs)
-    val = ai * u**3 + aj * v**3
-    h = np.abs(u) + np.abs(v)
-    return u, v, val, h
+def _ceil_cbrt(n):
+    """Smallest integer r with r**3 >= n, elementwise, for |n| < 2**62."""
+    r = np.ceil(np.cbrt(n.astype(np.float64))).astype(np.int64)
+    # the float estimate is off by at most one either way
+    r -= (r - 1) ** 3 >= n
+    r += r**3 < n
+    return r
+
+
+def _expand(start, count):
+    """Owner index and value of every integer in the intervals [start, start+count)."""
+    owner = np.repeat(np.arange(len(count)), count)
+    offset = np.cumsum(count) - count
+    return owner, np.arange(count.sum()) + (start - offset)[owner]
+
+
+def _pair_chunk(a: int, b: int, bound: int, lo: int, hi: int):
+    """(value, u, v) of every a*u^3 + b*v^3 in [lo, hi) with |u|+|v| <= bound, by row.
+
+    With w = sign(b)*v each row u is |b|*w^3 + a*u^3, increasing in w, so its
+    entries in [lo, hi) are the w from ceil_cbrt((lo - a*u^3)/|b|) up to the
+    same bound for hi; the quotients are clipped to the row's range first.
+    """
+    u = np.arange(-bound, bound + 1, dtype=np.int64)
+    m = bound - np.abs(u)
+    c = a * u**3
+    cap = (bound + 1) ** 3
+    first = _ceil_cbrt(np.clip((lo - c + abs(b) - 1) // abs(b), -cap, cap))
+    stop = _ceil_cbrt(np.clip((hi - c + abs(b) - 1) // abs(b), -cap, cap))
+    first = np.maximum(first, -m)
+    row, w = _expand(first, np.maximum(np.minimum(stop, m + 1) - first, 0))
+    return c[row] + abs(b) * (w * w * w), u[row], w if b > 0 else -w
 
 
 def enumerate_points(
@@ -98,8 +122,8 @@ def enumerate_points(
 ) -> PointRegistry:
     """All primitive projective points of height <= bound on the surface.
 
-    The result is independent of `threads`; workers only split the
-    right-hand pair table into chunks.
+    The result is independent of `threads`; workers only take value-range
+    chunks of the join in turn.
     """
     if not isinstance(surface, CubicSurface):
         if len(surface) != 4 or any(c == 0 for c in surface):
@@ -108,36 +132,38 @@ def enumerate_points(
     a1, a2, a3, a4 = _diagonal_coeffs(surface)
     if bound < 1:
         raise InvalidCoefficients(f"bound must be >= 1, got {bound}")
+    if max(abs(a1) + abs(a2), abs(a3) + abs(a4)) * bound**3 >= 2**62:
+        raise BoundTooLarge(f"pair values reach 2^62 at height {bound}")
 
-    lu, lv, lval, lh = _pair_table(a1, a2, bound)
-    order = np.argsort(lval, kind="stable")
-    lu, lv, lval, lh = lu[order], lv[order], lval[order], lh[order]
-    ru, rv, rval, rh = _pair_table(a3, a4, bound)
-    target = -rval
+    def join(lo: int, hi: int) -> set[tuple[int, int, int, int]]:
+        lval, lu, lv = _pair_chunk(a1, a2, bound, lo, hi)
+        rval, ru, rv = _pair_chunk(-a3, -a4, bound, lo, hi)
+        if not len(lval) or not len(rval):
+            return set()
+        lord, rord = np.argsort(lval), np.argsort(rval)
+        lval, rval = lval[lord], rval[rord]
+        first = np.searchsorted(lval, rval)
+        hit = np.nonzero(lval[np.minimum(first, len(lval) - 1)] == rval)[0]
+        run = np.searchsorted(lval, rval[hit], side="right") - first[hit]
+        k, li = _expand(first[hit], run)
+        li, ri = lord[li], rord[hit[k]]
+        quad = np.stack([lu[li], lv[li], ru[ri], rv[ri]], axis=1)
+        keep = (np.abs(quad).sum(axis=1) <= bound) & quad.any(axis=1)
+        return set(map(tuple, quad[keep].tolist()))
 
-    def scan(lo_idx: int, hi_idx: int) -> set[tuple[int, int, int, int]]:
-        found = set()
-        t = target[lo_idx:hi_idx]
-        lo = np.searchsorted(lval, t, side="left")
-        hi = np.searchsorted(lval, t, side="right")
-        for k in np.nonzero(hi > lo)[0]:
-            i = lo_idx + int(k)
-            budget = bound - int(rh[i])
-            for j in range(int(lo[k]), int(hi[k])):
-                if lh[j] <= budget:
-                    vec = (int(lu[j]), int(lv[j]), int(ru[i]), int(rv[i]))
-                    if any(vec):
-                        found.add(vec)
-        return found
-
-    n = len(rval)
+    # The sides only meet where their value ranges overlap.  Edges evenly
+    # spaced in cube-root scale give chunks within a small factor of the mean.
+    top = min(max(abs(a1), abs(a2)), max(abs(a3), abs(a4))) * bound**3
+    chunks = -(-(2 * bound * (bound + 1) + 1) // _CHUNK_ENTRIES)
+    s = np.linspace(-1.0, 1.0, chunks + 1) * np.cbrt(float(top))
+    edges = [-top] + sorted(set(int(e) for e in s[1:-1] ** 3)) + [top + 1]
+    ranges = list(zip(edges[:-1], edges[1:]))
     threads = max(1, int(threads))
-    chunks = [(i * n // threads, (i + 1) * n // threads) for i in range(threads)]
     if threads == 1:
-        results = [scan(*chunks[0])]
+        results = [join(*r) for r in ranges]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: scan(*c), chunks))
+            results = list(pool.map(lambda r: join(*r), ranges))
     vectors = set().union(*results)
     return _sorted_registry(surface, bound, vectors)
 
@@ -218,6 +244,9 @@ def load_registry(path, surface: CubicSurface | tuple) -> PointRegistry:
                         bound = int(body.split(":", 1)[1])
                     except ValueError:
                         raise ParseError(f"line {lineno}: cannot parse {line!r}")
+                elif body.startswith("coeffs:"):
+                    if body[7:].split() != [str(c) for c in _diagonal_coeffs(surface)]:
+                        raise ParseError(f"line {lineno}: {line!r} is for another surface")
                 continue
             try:
                 raw = tuple(int(tok) for tok in line.split())

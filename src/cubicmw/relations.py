@@ -17,6 +17,12 @@ from .planecubic import PlaneCubic, curve_points, group_add
 from .geometry import CubicForm
 from .surface import on_tangent_section, secant_compose
 
+# Skipped draws allowed per requested trial.  Registries of real surfaces skip
+# fewer than 4 draws per trial (the most: the Fermat surface at H=10 in the
+# sextuple suite), so only one where almost every draw is undefined, such as
+# points on one line of the surface, runs out.
+_SKIPS_PER_TRIAL = 100
+
 
 @dataclass
 class SuiteResult:
@@ -43,6 +49,15 @@ def _check_size(pts, k: int) -> None:
         )
 
 
+def _skip(res: SuiteResult, trials: int) -> None:
+    """Count a skipped draw; a registry where nearly every draw skips is degenerate."""
+    res.skips += 1
+    if res.skips > _SKIPS_PER_TRIAL * trials:
+        raise DegenerateSample(
+            f"{res.name}: {res.skips} draws skipped before {trials} trials were made"
+        )
+
+
 def involution_suite(registry: PointRegistry, trials: int, seed: int = 0) -> SuiteResult:
     """x o (x o y) = y whenever x o y != x; tangency at x is the EqualPoints case."""
     rng = random.Random(seed)
@@ -55,7 +70,7 @@ def involution_suite(registry: PointRegistry, trials: int, seed: int = 0) -> Sui
         try:
             z = secant_compose(surface, x, y)
         except LineOnSurface:
-            res.skips += 1
+            _skip(res, trials)
             continue
         if z.point == x.point:
             # tangent at x: recomposition must be exactly the multivalued case
@@ -68,7 +83,7 @@ def involution_suite(registry: PointRegistry, trials: int, seed: int = 0) -> Sui
         try:
             back = secant_compose(surface, x, z)
         except LineOnSurface:
-            res.skips += 1
+            _skip(res, trials)
             continue
         if back.point == y.point:
             res.passes += 1
@@ -92,7 +107,7 @@ def sextuple_suite(registry: PointRegistry, trials: int, seed: int = 0) -> Suite
             for t in (y, w, x, y, w, x):
                 cur = secant_compose(surface, t, cur)
         except (EqualPoints, LineOnSurface):
-            res.skips += 1
+            _skip(res, trials)
             continue
         if cur.point == z.point:
             res.passes += 1

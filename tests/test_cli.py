@@ -116,9 +116,13 @@ def test_plane_closure_q_requires_cap(capsys):
         (["decompose", "--points", "{pts}", "--coeffs", "1,2,3,4", "--report", "{report}"],
          "# height: abc\n1 0 1 -1\n", "ParseError"),
         (["verify-relations", "--height", "3", "--trials", "10"], None, "DegenerateSample"),
+        (["decompose", "--points", "{pts}", "--coeffs", "1,2,3,4", "--report", "{report}"],
+         "# coeffs: 1 1 1 1\n# height: 24\n1 0 1 -1\n", "ParseError"),
+        (["enumerate", "--coeffs", f"{2**61 + 1},1,-1,-{2**61 + 1}", "--height", "6",
+          "--out", "{pts}"], None, "BoundTooLarge"),
     ],
     ids=["zero-coefficient", "empty-points", "missing-points", "bad-height-header",
-         "too-few-points"],
+         "too-few-points", "other-surface-header", "pair-values-beyond-int64"],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, points_text, name):
     pts = tmp_path / "pts.txt"

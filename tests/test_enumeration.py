@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubicmw import (
     brute_force_oracle,
     enumerate_points,
+    enumeration,
     eval_form,
     load_registry,
     normalize,
@@ -17,6 +23,7 @@ from cubicmw.errors import (
 )
 
 ZAGIER = (1, 2, 3, 4)
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def coords(reg):
@@ -86,6 +93,59 @@ def test_registry_invariants(registry_200):
         assert registry_200.index[spt.coords] == rank
 
 
+nonzero = st.integers(-9, 9).filter(bool)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(nonzero, nonzero, nonzero, nonzero), st.integers(1, 40))
+def test_join_matches_oracle(coeff, bound):
+    # negative a2 or a4 walk the rows in descending v
+    assert coords(enumerate_points(coeff, bound)) == coords(
+        brute_force_oracle(coeff, bound)
+    )
+
+
+def test_tiny_chunks_match_oracle(monkeypatch):
+    starts = set()
+    pair_chunk = enumeration._pair_chunk
+
+    def spy(a, b, bound, lo, hi):
+        starts.add(lo)
+        return pair_chunk(a, b, bound, lo, hi)
+
+    monkeypatch.setattr(enumeration, "_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(enumeration, "_pair_chunk", spy)
+    for coeff in (ZAGIER, (1, 1, 1, 1), (1, -1, 2, -2)):
+        assert coords(enumerate_points(coeff, 24, threads=3)) == coords(
+            brute_force_oracle(coeff, 24)
+        )
+    # value 0 is shared by every (u, -u) on the Fermat sides and starts a chunk
+    assert 0 in starts
+
+
+def test_pair_values_beyond_int64_refused():
+    # a1*u^3 + a2*v^3 would wrap in int64 and match points off the surface
+    with pytest.raises(BoundTooLarge):
+        enumerate_points((2**61 + 1, 1, -1, -(2**61 + 1)), 6)
+
+
+def test_on_surface_check_survives_optimize():
+    code = (
+        "from cubicmw.enumeration import _sorted_registry\n"
+        "from cubicmw import CubicSurface\n"
+        "from cubicmw.errors import NotOnSurface\n"
+        "try:\n"
+        "    _sorted_registry(CubicSurface.diagonal((1, 2, 3, 4)), 10, [(1, 1, 1, 1)])\n"
+        "except NotOnSurface:\n"
+        "    print('refused')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert out.stdout == "refused\n", out.stderr
+
+
 def test_monotonicity_in_bound():
     small = enumerate_points(ZAGIER, 60)
     large = enumerate_points(ZAGIER, 120)
@@ -117,6 +177,16 @@ def test_load_rejects_unsorted(tmp_path):
     path = tmp_path / "shuffled.txt"
     path.write_text("1 1 -1 0\n1 0 1 -1\n")
     with pytest.raises(UnsortedInput):
+        load_registry(path, ZAGIER)
+
+
+def test_load_rejects_other_coeffs_header(tmp_path):
+    path = tmp_path / "points.txt"
+    path.write_text("# coeffs: 1 2 3 4\n1 0 1 -1\n")
+    assert coords(load_registry(path, ZAGIER)) == [(1, 0, 1, -1)]
+    # the point is on the requested surface, but the file says it was written for another
+    path.write_text("# coeffs: 1 1 1 1\n1 0 1 -1\n")
+    with pytest.raises(ParseError):
         load_registry(path, ZAGIER)
 
 
