@@ -142,8 +142,8 @@ def cmd_split_demo(args) -> int:
 
 def cmd_plane_closure(args) -> int:
     seeds = [normalize(v, args.field) for v in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]]
-    if args.extra:
-        seeds.append(normalize(_coeffs(args.extra), args.field))
+    if args.extra is not None:
+        seeds.append(normalize(args.extra, args.field))
     pts, gens = plane_closure(
         args.field, seeds, height_cap=args.cap, max_generations=args.max_generations
     )
@@ -196,8 +196,8 @@ def main(argv=None) -> int:
 
     p = subs.add_parser("plane-closure", help="projective-plane closure of seeds")
     p.add_argument("--field", type=_field, required=True)
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--extra", default=None, help="extra seed as comma triple")
+    p.add_argument("--cap", type=int, default=None, help="height cap, required over Q only")
+    p.add_argument("--extra", type=_coeffs, default=None, help="extra seed as comma triple")
     p.add_argument("--max-generations", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_plane_closure)

@@ -95,3 +95,7 @@ class DegenerateSample(CubicError):
 
 class DegenerateSeeds(CubicError):
     pass
+
+
+class InvalidBound(CubicError):
+    pass

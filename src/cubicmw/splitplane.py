@@ -9,9 +9,12 @@ the section-dependent modified composition, and projective-plane closure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     AmbiguousKernel,
@@ -21,14 +24,15 @@ from .errors import (
     DegeneratePosition,
     DegenerateSample,
     DegenerateSeeds,
+    DimensionMismatch,
     EmptyKernel,
+    InvalidBound,
     NotOnSection,
 )
 from .geometry import (
     CubicForm,
     Field,
     Hyperplane3,
-    Line2,
     ProjPoint,
     RATIONALS,
     eval_form,
@@ -268,6 +272,97 @@ def verify_claim1(
     return modified_compose(model, section, a, b) == x
 
 
+# pairs per numpy step: a (pairs, 3) int64 block stays below malloc's 128 KB mmap
+# threshold, so blocks reuse heap memory and the closure leaves peak RSS flat
+_BLOCK_PAIRS = 1 << 12
+
+
+def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """a^(p-2) mod p elementwise, the inverse of each nonzero residue (Fermat)."""
+    out = np.ones_like(a)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * a % p
+        a = a * a % p
+        e >>= 1
+    return out
+
+
+def _encode(v: np.ndarray, p: int) -> np.ndarray:
+    """One int in [0, p^2+p] per nonzero row mod p: the code of its canonical form.
+
+    (1,a,b) -> ap+b, (0,1,b) -> p^2+b, (0,0,1) -> p^2+p.  Entries are residues
+    below 2^31, so every product stays below 2^62.
+    """
+    x, y, z = v.T
+    inv = _inverse_mod(np.where(x != 0, x, np.where(y != 0, y, z)), p)
+    return np.where(
+        x != 0, y * inv % p * p + z * inv % p, p * p + np.where(y != 0, z * inv % p, p)
+    )
+
+
+def _decode(codes: np.ndarray, p: int) -> np.ndarray:
+    """Canonical rows of the codes; the inverse of _encode."""
+    affine = codes < p * p
+    rest = codes - p * p
+    return np.stack([
+        affine.astype(np.int64),
+        np.where(affine, codes // p, rest < p),
+        np.where(affine, codes % p, np.where(rest < p, rest, 1)),
+    ], axis=1)
+
+
+def _cross_codes(p: int, old: list[int], new: list[int]) -> set[int]:
+    """Codes of a x b mod p over the pairs of old + new that contain a member of new.
+
+    A block pairs a run of rows i with the columns j < i, about _BLOCK_PAIRS
+    pairs and never more than one row when a row alone is longer.  The codes
+    are distinct, so no pair is proportional and no cross product vanishes.
+    A line and a point of P^2 share this encoding.
+    """
+    vecs = _decode(np.array(old + new, dtype=np.int64), p)
+    n = len(vecs)
+    rows = max(1, _BLOCK_PAIRS // n)
+    found: set[int] = set()
+    for i0 in range(len(old), n, rows):
+        i1 = min(i0 + rows, n)
+        c = np.cross(vecs[i0:i1, None], vecs[None, :i1]) % p
+        found.update(_encode(c[np.arange(i1) < np.arange(i0, i1)[:, None]], p).tolist())
+    return found
+
+
+def _q_pairs(step, old: list, new: list) -> set:
+    """step(a, b) over the pairs of old + new that contain a member of new."""
+    pairs = itertools.chain(itertools.product(new, old), itertools.combinations(new, 2))
+    return {step(a, b) for a, b in pairs}
+
+
+def _semi_naive(seeds: set, lines_of, points_of, max_generations: int | None):
+    """Fixpoint of the seeds under joins and meets, each pair taken once.
+
+    lines_of(old, new) and points_of(old, new) take the pairs of old + new
+    that contain a member of new.  Pairs of two old points or two old lines
+    were taken in an earlier round, so each generation equals the one a loop
+    over all pairs finds.
+    """
+    points, new_points = [], list(seeds)
+    lines: list = []
+    known_points, known_lines = set(seeds), set()
+    generation = 0
+    while max_generations is None or generation < max_generations:
+        new_lines = list(lines_of(points, new_points) - known_lines)
+        points += new_points
+        new_points = list(points_of(lines, new_lines) - known_points)
+        lines += new_lines
+        known_lines.update(new_lines)
+        if not new_points:
+            break
+        known_points.update(new_points)
+        generation += 1
+    return known_points, generation
+
+
 def plane_closure(
     field: Field,
     seeds: list[ProjPoint],
@@ -276,39 +371,49 @@ def plane_closure(
 ) -> tuple[set[ProjPoint], int]:
     """Closure of the seeds under pairwise line intersections.
 
-    Over a prime field this runs to an exact fixpoint.  Over Q a height cap
-    is required and newly generated points above the cap are discarded; the
-    closure is then a bounded portion of the true (infinite) closure, and
-    `max_generations` bounds the search.  Returns (points, generations).
+    Rounds are semi-naive: generation g+1 joins only the point pairs that
+    contain a point new in generation g, and meets only the line pairs that
+    contain a line new in that round.  Over a prime field this runs to an
+    exact fixpoint; points and lines are coded as ints in [0, p^2+p] and the
+    cross products mod p are taken in numpy in blocks of about _BLOCK_PAIRS
+    pairs, so memory does not grow with p.  Over Q a height cap is required (and
+    only allowed there): meets above the cap are discarded, the closure is
+    a bounded portion of the true (infinite) closure, and `max_generations`
+    bounds the search.  Returns (points, generations).
     """
     if len(seeds) < 4:
         raise DegenerateSeeds("need at least four seed points")
+    if any(s.dim != 3 for s in seeds):
+        raise DimensionMismatch("plane closure needs points of P^2")
     for i, j, k in itertools.combinations(range(4), 3):
         d = det3(seeds[i].coords, seeds[j].coords, seeds[k].coords)
         if (d == 0) if field.p is None else (d % field.p == 0):
             raise DegenerateSeeds(f"seeds {i},{j},{k} are collinear")
-    if field.p is None and height_cap is None:
+    if max_generations is not None and max_generations < 0:
+        raise InvalidBound(f"max_generations must be >= 0, got {max_generations}")
+    p = field.p
+    if p is not None:
+        if height_cap is not None:
+            raise InvalidBound(f"a height cap applies only over Q, not over {field}")
+        seed_codes = _encode(np.array([s.coords for s in seeds], dtype=np.int64) % p, p)
+        step = functools.partial(_cross_codes, p)
+        codes, generation = _semi_naive(set(seed_codes.tolist()), step, step, max_generations)
+        rows = _decode(np.array(list(codes), dtype=np.int64), p).tolist()
+        return {ProjPoint(tuple(r), field) for r in rows}, generation
+
+    if height_cap is None:
         raise DegenerateSeeds("a height cap is required over Q")
+    if height_cap < 1:
+        raise InvalidBound(f"height cap must be >= 1, got {height_cap}")
+    for s in seeds:
+        if max(abs(c) for c in s.coords) > height_cap:
+            raise DegenerateSeeds(f"seed {s} is above the height cap {height_cap}")
 
-    def admissible(x: ProjPoint) -> bool:
-        return height_cap is None or max(abs(c) for c in x.coords) <= height_cap
+    def admissible_meets(old, new):
+        return {x for x in _q_pairs(meet, old, new)
+                if max(abs(c) for c in x.coords) <= height_cap}
 
-    points = {s for s in seeds if admissible(s)}
-    generation = 0
-    while max_generations is None or generation < max_generations:
-        lines: set[Line2] = set()
-        for a, b in itertools.combinations(sorted(points, key=lambda q: q.coords), 2):
-            lines.add(line_through(a, b))
-        new = set()
-        for l1, l2 in itertools.combinations(sorted(lines, key=lambda l: l.coords), 2):
-            try:
-                x = meet(l1, l2)
-            except CoincidentLines:
-                continue
-            if x not in points and admissible(x):
-                new.add(x)
-        if not new:
-            break
-        points |= new
-        generation += 1
-    return points, generation
+    return _semi_naive(
+        set(seeds), functools.partial(_q_pairs, line_through), admissible_meets,
+        max_generations,
+    )

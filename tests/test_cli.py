@@ -59,6 +59,13 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+def test_malformed_extra_seed_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["plane-closure", "--field", "fp:7", "--extra", "1,2,a"])
+    assert exc.value.code == 2
+    assert "argument --extra" in capsys.readouterr().err
+
+
 def test_decompose_report(tmp_path, capsys):
     pts = tmp_path / "pts.txt"
     report = tmp_path / "report.json"
@@ -120,9 +127,17 @@ def test_plane_closure_q_requires_cap(capsys):
          "# coeffs: 1 1 1 1\n# height: 24\n1 0 1 -1\n", "ParseError"),
         (["enumerate", "--coeffs", f"{2**61 + 1},1,-1,-{2**61 + 1}", "--height", "6",
           "--out", "{pts}"], None, "BoundTooLarge"),
+        (["plane-closure", "--field", "fp:7", "--cap", "2"], None, "InvalidBound"),
+        (["plane-closure", "--field", "q", "--cap", "0"], None, "InvalidBound"),
+        (["plane-closure", "--field", "q", "--cap", "2", "--extra", "1,3,0"],
+         None, "DegenerateSeeds"),
+        (["plane-closure", "--field", "fp:7", "--max-generations", "-1"], None, "InvalidBound"),
+        (["plane-closure", "--field", "fp:7", "--extra", "1,2,3,4"], None, "DimensionMismatch"),
     ],
     ids=["zero-coefficient", "empty-points", "missing-points", "bad-height-header",
-         "too-few-points", "other-surface-header", "pair-values-beyond-int64"],
+         "too-few-points", "other-surface-header", "pair-values-beyond-int64",
+         "closure-cap-over-fp", "closure-cap-zero", "closure-seed-above-cap",
+         "closure-negative-generations", "closure-seed-in-p3"],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, points_text, name):
     pts = tmp_path / "pts.txt"

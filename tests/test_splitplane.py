@@ -1,7 +1,10 @@
 import itertools
 import random
+import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubicmw import (
     Field,
@@ -24,8 +27,10 @@ from cubicmw.errors import (
     CubicError,
     DegeneratePosition,
     DegenerateSeeds,
+    InvalidBound,
 )
-from cubicmw.geometry import hyperplane3
+from cubicmw import splitplane
+from cubicmw.geometry import hyperplane3, line_through, meet
 from cubicmw.linalg import det4, kernel_basis
 from cubicmw.splitplane import DEFAULT_BASE, BlowupModel
 
@@ -218,12 +223,14 @@ def test_claim1_over_q(model_q):
 STANDARD_SEEDS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 23, 31])
 def test_plane_closure_counts(p):
     field = Field(p)
     seeds = [normalize(v, field) for v in STANDARD_SEEDS]
-    pts, _ = plane_closure(field, seeds)
+    pts, gens = plane_closure(field, seeds)
     assert len(pts) == p * p + p + 1
+    if p == 23:
+        assert gens == 4
 
 
 def test_plane_closure_monotone_and_idempotent():
@@ -252,3 +259,115 @@ def test_plane_closure_degenerate_seeds():
         plane_closure(field, bad)
     with pytest.raises(DegenerateSeeds):
         plane_closure(RATIONALS, [normalize(v) for v in STANDARD_SEEDS])  # no cap
+
+
+def naive_plane_closure(field, seeds, height_cap=None, max_generations=None):
+    """Reference: every round joins all point pairs and meets all line pairs."""
+
+    def admissible(x):
+        return height_cap is None or max(abs(c) for c in x.coords) <= height_cap
+
+    points = {s for s in seeds if admissible(s)}
+    generation = 0
+    while max_generations is None or generation < max_generations:
+        lines = set()
+        for a, b in itertools.combinations(sorted(points, key=lambda q: q.coords), 2):
+            lines.add(line_through(a, b))
+        new = set()
+        for l1, l2 in itertools.combinations(sorted(lines, key=lambda l: l.coords), 2):
+            try:
+                x = meet(l1, l2)
+            except CoincidentLines:
+                continue
+            if x not in points and admissible(x):
+                new.add(x)
+        if not new:
+            break
+        points |= new
+        generation += 1
+    return points, generation
+
+
+@st.composite
+def fp_closure_args(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    coord = st.integers(0, p - 1)
+    extra = draw(st.lists(st.tuples(coord, coord, coord).filter(any), max_size=3))
+    return p, extra, draw(st.none() | st.integers(0, 4))
+
+
+@settings(max_examples=20, deadline=None)
+@given(fp_closure_args())
+def test_plane_closure_matches_naive_over_fp(args):
+    p, extra, max_generations = args
+    field = Field(p)
+    seeds = [normalize(v, field) for v in STANDARD_SEEDS + extra]
+    assert plane_closure(field, seeds, max_generations=max_generations) == (
+        naive_plane_closure(field, seeds, max_generations=max_generations)
+    )
+
+
+@st.composite
+def q_closure_args(draw):
+    cap = draw(st.integers(1, 20))
+    coord = st.integers(-cap, cap)
+    extra = draw(st.lists(st.tuples(coord, coord, coord).filter(any), max_size=2))
+    return cap, extra, draw(st.integers(0, 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(q_closure_args())
+def test_plane_closure_matches_naive_over_q(args):
+    cap, extra, max_generations = args
+    seeds = [normalize(v) for v in STANDARD_SEEDS + extra]
+    assert plane_closure(RATIONALS, seeds, cap, max_generations) == (
+        naive_plane_closure(RATIONALS, seeds, cap, max_generations)
+    )
+
+
+def test_plane_closure_tiny_blocks_match_naive(monkeypatch):
+    monkeypatch.setattr(splitplane, "_BLOCK_PAIRS", 1)
+    for p, extra in ((2, []), (5, [(1, 2, 3)]), (7, [])):
+        field = Field(p)
+        seeds = [normalize(v, field) for v in STANDARD_SEEDS + extra]
+        assert plane_closure(field, seeds) == naive_plane_closure(field, seeds)
+
+
+def test_plane_closure_large_prime_allocates_nothing_by_p():
+    field = Field(2147483647)
+    seeds = [normalize(v, field) for v in STANDARD_SEEDS]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        pts, gens = plane_closure(field, seeds, max_generations=2)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(pts), gens) == (13, 2)
+    assert pts == naive_plane_closure(field, seeds, max_generations=2)[0]
+    assert elapsed < 1.0
+    assert peak < 1 << 20
+
+
+def test_plane_closure_rejects_cap_over_fp():
+    field = Field(7)
+    with pytest.raises(InvalidBound):
+        plane_closure(field, [normalize(v, field) for v in STANDARD_SEEDS], height_cap=2)
+
+
+def test_plane_closure_rejects_cap_below_one():
+    with pytest.raises(InvalidBound):
+        plane_closure(RATIONALS, [normalize(v) for v in STANDARD_SEEDS], height_cap=0)
+
+
+def test_plane_closure_rejects_seed_above_cap():
+    seeds = [normalize(v) for v in STANDARD_SEEDS + [(1, 3, 0)]]
+    with pytest.raises(DegenerateSeeds):
+        plane_closure(RATIONALS, seeds, height_cap=2)
+
+
+def test_plane_closure_rejects_negative_generations():
+    field = Field(7)
+    with pytest.raises(InvalidBound):
+        plane_closure(field, [normalize(v, field) for v in STANDARD_SEEDS], max_generations=-1)
