@@ -23,7 +23,6 @@ from .surface import (
     on_tangent_section,
     secant_compose,
     surface_point,
-    translate,
 )
 from .enumeration import (
     PointRegistry,
@@ -38,7 +37,6 @@ from .decompose import (
     Scheme,
     build_report,
     build_table,
-    generators,
     render_scheme,
     strong_decompositions,
     weak_closure,

@@ -41,21 +41,28 @@ def _field(text: str) -> Field:
     raise argparse.ArgumentTypeError(f"field must be 'q' or 'fp:<prime>', got {text!r}")
 
 
-def _default_threads() -> int:
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return n
+
+
+def _threads(args) -> int:
+    """--threads, else CUBIC_MW_THREADS, else the CPU count."""
+    if args.threads is not None:
+        return args.threads
     env = os.environ.get("CUBIC_MW_THREADS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
+    return int(env) if env else os.cpu_count() or 1
 
 
-def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    sub.add_argument("--threads", type=int, default=None)
+def _add_threads(sub):
+    sub.add_argument("--threads", type=_positive_int, default=None,
+                     help="join threads (default: CUBIC_MW_THREADS or the CPU count)")
 
 
 def cmd_enumerate(args) -> int:
-    threads = args.threads if args.threads is not None else _default_threads()
-    reg = enumerate_points(args.coeffs, args.height, threads=threads)
+    reg = enumerate_points(args.coeffs, args.height, threads=_threads(args))
     # header stays independent of the thread count so reruns are byte-identical
     save_registry(reg, args.out, extra_header=[f"# tool: cubicmw {__version__}"])
     print(f"wrote {len(reg)} points to {args.out}")
@@ -92,7 +99,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify_relations(args) -> int:
-    reg = enumerate_points(args.coeffs, args.height)
+    reg = enumerate_points(args.coeffs, args.height, threads=_threads(args))
     results = [
         involution_suite(reg, args.trials, args.seed),
         sextuple_suite(reg, args.trials, args.seed),
@@ -163,35 +170,34 @@ def main(argv=None) -> int:
     p.add_argument("--coeffs", type=_coeffs, required=True)
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_threads(p)
     p.set_defaults(func=cmd_enumerate)
 
     p = subs.add_parser("compose", help="compose two surface points")
     p.add_argument("--coeffs", type=_coeffs, required=True)
     p.add_argument("--x", type=_coeffs, required=True)
     p.add_argument("--y", type=_coeffs, required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_compose)
 
     p = subs.add_parser("decompose", help="composition table and decomposition report")
     p.add_argument("--points", required=True)
     p.add_argument("--coeffs", type=_coeffs, required=True)
     p.add_argument("--report", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_decompose)
 
     p = subs.add_parser("verify-relations", help="randomized identity suites")
     p.add_argument("--coeffs", type=_coeffs, default=(1, 2, 3, 4))
     p.add_argument("--height", type=int, default=200)
-    p.add_argument("--trials", type=int, default=2000)
-    _add_common(p)
+    p.add_argument("--trials", type=_positive_int, default=2000)
+    _add_threads(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for the random draws")
     p.set_defaults(func=cmd_verify_relations)
 
     p = subs.add_parser("split-demo", help="blow-up model and claim-1 suite")
     p.add_argument("--field", type=_field, default=_field("fp:101"))
     p.add_argument("--base", default="default", help="'default' or six ;-separated triples")
-    p.add_argument("--samples", type=int, default=100)
-    _add_common(p)
+    p.add_argument("--samples", type=_positive_int, default=100)
+    p.add_argument("--seed", type=int, default=0, help="seed for the random draws")
     p.set_defaults(func=cmd_split_demo)
 
     p = subs.add_parser("plane-closure", help="projective-plane closure of seeds")
@@ -199,7 +205,6 @@ def main(argv=None) -> int:
     p.add_argument("--cap", type=int, default=None, help="height cap, required over Q only")
     p.add_argument("--extra", type=_coeffs, default=None, help="extra seed as comma triple")
     p.add_argument("--max-generations", type=int, default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_plane_closure)
 
     args = parser.parse_args(argv)

@@ -187,19 +187,6 @@ def weak_closure(table: CompositionTable, x: int) -> tuple[bool, Scheme | None]:
     return True, _scheme_from_parents(x, seeds, parents)
 
 
-def generators(table: CompositionTable) -> list[int]:
-    """Ranks that are not weakly decomposable; they regenerate the registry."""
-    strong = strong_decompositions(table)
-    out = []
-    for x in range(1, len(table.registry) + 1):
-        if x in strong:
-            continue
-        ok, _ = weak_closure(table, x)
-        if not ok:
-            out.append(x)
-    return out
-
-
 def render_scheme(scheme: Scheme) -> str:
     """Fully parenthesized infix rendering over ranks, e.g. `5o(1o2)`."""
 

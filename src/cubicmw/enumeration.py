@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     UnsortedInput,
 )
-from .geometry import RATIONALS, ProjPoint, eval_form, normalize
+from .geometry import RATIONALS, eval_form, normalize
 from .surface import CubicSurface, SurfacePoint, height
 
 _ORACLE_CAP = 200
@@ -49,9 +49,6 @@ class PointRegistry:
 
     def __len__(self):
         return len(self.points)
-
-    def rank(self, x: ProjPoint) -> int | None:
-        return self.index.get(x.coords)
 
     def point(self, rank: int) -> SurfacePoint:
         return self.points[rank - 1]

@@ -8,7 +8,8 @@ floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -44,10 +45,6 @@ class Field:
         if self.p is not None:
             if not (self.p < _PRIME_CAP and _is_prime(self.p)):
                 raise ValueError(f"not a prime below 2^31: {self.p}")
-
-    @property
-    def is_rational(self) -> bool:
-        return self.p is None
 
     def __repr__(self):
         return "Q" if self.p is None else f"F{self.p}"
@@ -161,9 +158,14 @@ def meet(l1: Line2, l2: Line2) -> ProjPoint:
     return normalize(_cross(l1.coords, l2.coords), l1.field)
 
 
+def dot(u: Sequence[int], v: Sequence[int], p: int | None = None) -> int:
+    """Exact dot product, reduced mod p over F_p."""
+    d = sum(map(mul, u, v))
+    return d if p is None else d % p
+
+
 def incident(line: Line2 | Hyperplane3, x: ProjPoint) -> bool:
-    d = sum(a * b for a, b in zip(line.coords, x.coords))
-    return d == 0 if x.field.p is None else d % x.field.p == 0
+    return dot(line.coords, x.coords, x.field.p) == 0
 
 
 @dataclass
@@ -172,6 +174,10 @@ class CubicForm:
 
     dim: int
     coeffs: dict[tuple[int, ...], int]
+    # compiled once: (c, i, j, k) per monomial c*v_i*v_j*v_k, and
+    # (t, c*e, a, b) per partial derivative c*e*v_a*v_b in variable t
+    _terms: tuple = field(init=False, repr=False, compare=False)
+    _grad_terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cleaned = {}
@@ -184,6 +190,17 @@ class CubicForm:
         if not cleaned:
             raise ValueError("zero cubic form")
         self.coeffs = cleaned
+        terms, grad_terms = [], []
+        for expo, c in cleaned.items():
+            idx = [i for i, e in enumerate(expo) for _ in range(e)]
+            terms.append((c, *idx))
+            for t, e in enumerate(expo):
+                if e:
+                    rest = list(idx)
+                    rest.remove(t)
+                    grad_terms.append((t, c * e, *rest))
+        self._terms = tuple(terms)
+        self._grad_terms = tuple(grad_terms)
 
     @classmethod
     def diagonal(cls, coefficients: Iterable[int]) -> "CubicForm":
@@ -200,7 +217,7 @@ class CubicForm:
 
 def _check_dims(form: CubicForm, *points: ProjPoint) -> None:
     for x in points:
-        if x.dim != form.dim:
+        if len(x.coords) != form.dim:
             raise DimensionMismatch(
                 f"form in {form.dim} variables, point has {x.dim} coordinates"
             )
@@ -211,12 +228,8 @@ def eval_form(form: CubicForm, x: ProjPoint) -> int:
     _check_dims(form, x)
     v = x.coords
     total = 0
-    for expo, c in form.coeffs.items():
-        term = c
-        for xi, e in zip(v, expo):
-            for _ in range(e):
-                term *= xi
-        total += term
+    for c, i, j, k in form._terms:
+        total += c * v[i] * v[j] * v[k]
     return total if x.field.p is None else total % x.field.p
 
 
@@ -225,16 +238,8 @@ def gradient(form: CubicForm, x: ProjPoint) -> tuple[int, ...]:
     _check_dims(form, x)
     v = x.coords
     out = [0] * form.dim
-    for expo, c in form.coeffs.items():
-        for i, e in enumerate(expo):
-            if e == 0:
-                continue
-            term = c * e
-            for j, ej in enumerate(expo):
-                pw = ej - 1 if j == i else ej
-                for _ in range(pw):
-                    term *= v[j]
-            out[i] += term
+    for t, c, a, b in form._grad_terms:
+        out[t] += c * v[a] * v[b]
     if x.field.p is not None:
         out = [c % x.field.p for c in out]
     return tuple(out)
@@ -243,7 +248,11 @@ def gradient(form: CubicForm, x: ProjPoint) -> tuple[int, ...]:
 def polar_coeffs(
     form: CubicForm, x: ProjPoint, y: ProjPoint
 ) -> tuple[int, int, int, int]:
-    """Coefficients (c0,c1,c2,c3) of F(x + t*y) as a cubic polynomial in t."""
+    """Coefficients (c0,c1,c2,c3) of F(x + t*y) as a cubic polynomial in t.
+
+    Compositions use c1 = grad F(x)·y, c2 = grad F(y)·x, c3 = F(y) instead;
+    this expansion is the independent check of `tangent_consistency_suite`.
+    """
     _check_dims(form, x, y)
     if x.field != y.field:
         raise DimensionMismatch("points over different fields")

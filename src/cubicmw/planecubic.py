@@ -1,6 +1,6 @@
 """Secant composition and the induced abelian group law on plane cubics.
 
-The mechanism is the same polarization trick as on the surface, one
+The mechanism is the same gradient identity as on the surface, one
 dimension down.  Smoothness is only required pointwise: pullback cubics
 from the split-surface model can be singular, and composition is still
 fine away from the singular locus.
@@ -16,10 +16,10 @@ from .geometry import (
     Field,
     ProjPoint,
     RATIONALS,
+    dot,
     eval_form,
     gradient,
     normalize,
-    polar_coeffs,
 )
 
 
@@ -36,24 +36,28 @@ class PlaneCubic:
         return eval_form(self.form, x) == 0
 
     def is_smooth_at(self, x: ProjPoint) -> bool:
-        g = gradient(self.form, x)
-        return any(c != 0 for c in g)
+        return any(gradient(self.form, x))
 
 
-def _require_on_curve(curve: PlaneCubic, *pts: ProjPoint) -> None:
-    for x in pts:
-        if not curve.contains(x):
-            raise NotOnSurface(f"{x} is not on the cubic")
-        if not curve.is_smooth_at(x):
-            raise SingularPoint(f"{x} is a singular point of the cubic")
+def _smooth_gradient(curve: PlaneCubic, x: ProjPoint) -> tuple[int, ...]:
+    """The gradient at x, after checking that x is a smooth point of the cubic."""
+    if not curve.contains(x):
+        raise NotOnSurface(f"{x} is not on the cubic")
+    g = gradient(curve.form, x)
+    if not any(g):
+        raise SingularPoint(f"{x} is a singular point of the cubic")
+    return g
 
 
 def cubic_compose(curve: PlaneCubic, x: ProjPoint, y: ProjPoint) -> ProjPoint:
-    """Third intersection of the line through x, y with the cubic."""
+    """Third intersection of the line through x, y with the cubic.
+
+    c1 = grad F(x)·y and c2 = grad F(y)·x reuse the smoothness checks' gradients.
+    """
     if x == y:
         raise EqualPoints(f"composition is multivalued at x = y ({x})")
-    _require_on_curve(curve, x, y)
-    _, c1, c2, _ = polar_coeffs(curve.form, x, y)
+    c1 = dot(_smooth_gradient(curve, x), y.coords, x.field.p)
+    c2 = dot(_smooth_gradient(curve, y), x.coords, x.field.p)
     if c1 == 0 and c2 == 0:
         raise LineOnCurve(f"line through {x} and {y} is a component of the cubic")
     raw = [c2 * a - c1 * b for a, b in zip(x.coords, y.coords)]
@@ -73,9 +77,7 @@ def group_add(
 
 def _tangent_value(curve: PlaneCubic, x: ProjPoint) -> ProjPoint:
     """Third intersection of the tangent line at a smooth point x."""
-    _require_on_curve(curve, x)
-    g = gradient(curve.form, x)
-    p = curve.field.p
+    g = _smooth_gradient(curve, x)
     # pick any second point on the tangent line g . v = 0 distinct from x
     i = next(i for i, c in enumerate(g) if c != 0)
     for j in range(3):
@@ -90,17 +92,16 @@ def _tangent_value(curve: PlaneCubic, x: ProjPoint) -> ProjPoint:
                 break
     else:
         raise SingularPoint(f"no tangent direction at {x}")
-    # intersect the tangent line x + t*y with the cubic: roots t=0 (double), t3
-    c0, c1, c2, c3 = polar_coeffs(curve.form, x, y)
-    assert c0 == 0 and c1 == 0
+    # F(x + t*y) = c2 t^2 + c3 t^3: c0 = F(x) = 0 on the curve and
+    # c1 = grad F(x)·y = 0 on the tangent line, so t = 0 is a double root
+    c2 = dot(gradient(curve.form, y), x.coords, x.field.p)
+    c3 = eval_form(curve.form, y)
     if c2 == 0 and c3 == 0:
         raise LineOnCurve(f"tangent line at {x} is a component of the cubic")
     if c3 == 0:
         return y  # remaining intersection sits at the parameter point y
     # roots of c2 t^2 + c3 t^3: t = 0 double (x), then t = -c2/c3
     raw = [c3 * a - c2 * b for a, b in zip(x.coords, y.coords)]
-    if p is not None:
-        raw = [v % p for v in raw]
     return normalize(raw, curve.field)
 
 

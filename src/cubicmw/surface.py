@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EqualPoints, InvalidCoefficients, LineOnSurface, NotOnSurface
-from .geometry import CubicForm, ProjPoint, eval_form, gradient, normalize, polar_coeffs
+from .geometry import CubicForm, ProjPoint, dot, eval_form, gradient, normalize
 
 
 def height(x: ProjPoint) -> int:
     """Sum of absolute values of the normalized coordinates."""
-    return sum(abs(c) for c in x.coords)
+    return sum(map(abs, x.coords))
 
 
 @dataclass(frozen=True)
@@ -63,21 +63,20 @@ def secant_compose(
     """Third intersection of the secant line through x and y with the surface.
 
     May return x or y itself (tangency); raises EqualPoints at x = y and
-    LineOnSurface when the whole line lies on the surface.
+    LineOnSurface when the whole line lies on the surface.  F(x + t*y) has
+    middle coefficients c1 = grad F(x)·y and c2 = grad F(y)·x, and its third
+    root t = -c1/c2 gives c2·x - c1·y.
     """
-    if x.point == y.point:
+    xp, yp = x.point, y.point
+    if xp == yp:
         raise EqualPoints(f"x o x is multivalued; use on_tangent_section ({x})")
-    _, c1, c2, _ = polar_coeffs(surface.form, x.point, y.point)
+    c1 = dot(gradient(surface.form, xp), yp.coords, xp.field.p)
+    c2 = dot(gradient(surface.form, yp), xp.coords, xp.field.p)
     if c1 == 0 and c2 == 0:
         raise LineOnSurface(f"line through {x} and {y} lies on the surface")
-    raw = [c2 * a - c1 * b for a, b in zip(x.point.coords, y.point.coords)]
-    z = normalize(raw, x.point.field)
+    raw = [c2 * a - c1 * b for a, b in zip(xp.coords, yp.coords)]
+    z = normalize(raw, xp.field)
     return SurfacePoint(z, height(z))
-
-
-def translate(surface: CubicSurface, x: SurfacePoint, y: SurfacePoint) -> SurfacePoint:
-    """The translation t_x applied to y, i.e. x o y."""
-    return secant_compose(surface, x, y)
 
 
 def on_tangent_section(
@@ -86,7 +85,4 @@ def on_tangent_section(
     """Whether x lies on the tangent-plane section at y (the relation x = y o y)."""
     if x.point == y.point:
         raise EqualPoints(f"tangent relation needs x != y ({x})")
-    g = gradient(surface.form, y.point)
-    d = sum(a * b for a, b in zip(g, x.point.coords))
-    p = x.point.field.p
-    return d == 0 if p is None else d % p == 0
+    return dot(gradient(surface.form, y.point), x.coords, x.point.field.p) == 0

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cubicmw import cli, enumerate_points
 from cubicmw.cli import main
 
 
@@ -57,6 +58,57 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--coeffs", "1,2,3,4"])  # missing --height/--out
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-relations", "--height", "10", "--trials", "-3"],
+        ["verify-relations", "--height", "10", "--trials", "0"],
+        ["enumerate", "--coeffs", "1,2,3,4", "--height", "10", "--out", "x", "--threads", "0"],
+        ["split-demo", "--samples", "-2"],
+    ],
+    ids=["negative-trials", "zero-trials", "zero-threads", "negative-samples"],
+)
+def test_non_positive_count_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--points", "p", "--coeffs", "1,2,3,4", "--report", "r", "--seed", "1"],
+        ["compose", "--coeffs", "1,2,3,4", "--x", "1,0,1,-1", "--y", "1,1,-1,0",
+         "--threads", "2"],
+        ["enumerate", "--coeffs", "1,2,3,4", "--height", "10", "--out", "x", "--seed", "1"],
+        ["plane-closure", "--field", "fp:7", "--seed", "1"],
+    ],
+    ids=["decompose-seed", "compose-threads", "enumerate-seed", "plane-closure-seed"],
+)
+def test_flag_where_it_is_not_read_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_relations_passes_threads(monkeypatch, capsys):
+    seen = []
+
+    def recording(coeffs, height, threads=1):
+        seen.append(threads)
+        return enumerate_points(coeffs, height, threads=threads)
+
+    monkeypatch.setattr(cli, "enumerate_points", recording)
+    code, stdout, _ = run(
+        capsys, "verify-relations", "--height", "60", "--trials", "20", "--threads", "2",
+        "--seed", "4",
+    )
+    assert code == 0 and "0 failed" in stdout
+    assert seen == [2]
 
 
 def test_malformed_extra_seed_is_usage_error(capsys):

@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cubicmw import (
     CubicForm,
@@ -20,6 +22,7 @@ from cubicmw.errors import (
     DimensionMismatch,
     ZeroVector,
 )
+from cubicmw.geometry import dot
 
 ZAGIER = CubicForm.diagonal((1, 2, 3, 4))
 
@@ -171,3 +174,79 @@ def test_cubic_form_rejects_bad_input():
         CubicForm(4, {(1, 1, 0, 0): 1})  # degree 2
     with pytest.raises(ValueError):
         CubicForm(4, {(3, 0, 0, 0): 0})  # zero form
+
+
+def loop_eval_form(form, x):
+    """Per-call loop over the exponent dict: the oracle for the compiled eval_form."""
+    total = 0
+    for expo, c in form.coeffs.items():
+        term = c
+        for xi, e in zip(x.coords, expo):
+            for _ in range(e):
+                term *= xi
+        total += term
+    return total if x.field.p is None else total % x.field.p
+
+
+def loop_gradient(form, x):
+    """Per-call loop over the exponent dict: the oracle for the compiled gradient."""
+    v = x.coords
+    out = [0] * form.dim
+    for expo, c in form.coeffs.items():
+        for i, e in enumerate(expo):
+            if e == 0:
+                continue
+            term = c * e
+            for j, ej in enumerate(expo):
+                pw = ej - 1 if j == i else ej
+                for _ in range(pw):
+                    term *= v[j]
+            out[i] += term
+    if x.field.p is not None:
+        out = [c % x.field.p for c in out]
+    return tuple(out)
+
+
+def _monomials(dim):
+    return [e for e in itertools.product(range(4), repeat=dim) if sum(e) == 3]
+
+
+@st.composite
+def form_and_points(draw):
+    """A dense or diagonal integer cubic form in 3 or 4 variables and two points."""
+    dim = draw(st.sampled_from((3, 4)))
+    field = Field(draw(st.sampled_from((None, 2, 3, 5, 101))))
+    coeff = st.integers(-50, 50)
+    if draw(st.booleans()):
+        mons = _monomials(dim)
+        values = draw(st.lists(coeff, min_size=len(mons), max_size=len(mons)).filter(any))
+        form = CubicForm(dim, dict(zip(mons, values)))
+    else:
+        form = CubicForm.diagonal(draw(st.lists(coeff, min_size=dim, max_size=dim).filter(any)))
+    pts = []
+    for _ in range(2):
+        raw = draw(st.lists(st.integers(-40, 40), min_size=dim, max_size=dim))
+        try:
+            pts.append(normalize(raw, field))
+        except ZeroVector:
+            assume(False)
+    return form, pts[0], pts[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(form_and_points())
+def test_compiled_form_matches_loops(case):
+    form, x, y = case
+    for v in (x, y):
+        assert eval_form(form, v) == loop_eval_form(form, v)
+        assert gradient(form, v) == loop_gradient(form, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(form_and_points())
+def test_gradient_identity_matches_polar_expansion(case):
+    form, x, y = case
+    p = x.field.p
+    c1 = dot(gradient(form, x), y.coords, p)
+    c2 = dot(gradient(form, y), x.coords, p)
+    assert (c1, c2, eval_form(form, y)) == polar_coeffs(form, x, y)[1:]

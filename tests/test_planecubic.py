@@ -2,9 +2,19 @@ import random
 
 import pytest
 
-from cubicmw import CubicForm, Field, cubic_compose, curve_points, eval_form, group_add, normalize
-from cubicmw.errors import CubicError, EqualPoints, SingularPoint
-from cubicmw.planecubic import PlaneCubic
+from cubicmw import (
+    CubicForm,
+    Field,
+    cubic_compose,
+    curve_points,
+    eval_form,
+    gradient,
+    group_add,
+    normalize,
+    polar_coeffs,
+)
+from cubicmw.errors import CubicError, EqualPoints, LineOnCurve, SingularPoint
+from cubicmw.planecubic import PlaneCubic, _tangent_value
 
 F101 = Field(101)
 
@@ -112,3 +122,47 @@ def test_compose_over_q():
     z = cubic_compose(curve, a, b)
     assert eval_form(curve.form, z) == 0
     assert cubic_compose(curve, a, z) == b
+
+
+def polar_tangent_value(curve, x):
+    """Third point of the tangent line at x from the polar expansion of F(x + t*y)."""
+    g = gradient(curve.form, x)
+    i = next(i for i, c in enumerate(g) if c != 0)
+    for j in range(3):
+        if j == i:
+            continue
+        v = [0, 0, 0]
+        v[j] = g[i]
+        v[i] = -g[j]
+        if any(v):
+            y = normalize(v, curve.field)
+            if y != x:
+                break
+    c0, c1, c2, c3 = polar_coeffs(curve.form, x, y)
+    assert c0 == 0 and c1 == 0
+    if c2 == 0 and c3 == 0:
+        raise LineOnCurve(f"tangent line at {x}")
+    if c3 == 0:
+        return y
+    return normalize([c3 * a - c2 * b for a, b in zip(x.coords, y.coords)], curve.field)
+
+
+@pytest.mark.parametrize("p", [11, 13, 101])  # over F_13 all 9 points are flexes
+def test_tangent_value_matches_polar_expansion(p):
+    curve = PlaneCubic(CubicForm.diagonal((1, 1, 1)), Field(p))
+    pts = [x for x in curve_points(curve) if curve.is_smooth_at(x)]
+    branches = 0
+    for e in pts:
+        expected = polar_tangent_value(curve, e)
+        assert _tangent_value(curve, e) == expected
+        for x in pts:
+            if x == e:
+                continue
+            y = cubic_compose(curve, x, e)
+            if y == x:
+                continue
+            # x o y = e, so group_add takes its e o e branch
+            assert cubic_compose(curve, x, y) == e
+            assert group_add(curve, e, x, y) == expected
+            branches += 1
+    assert branches > 0

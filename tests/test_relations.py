@@ -2,7 +2,49 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from cubicmw import enumerate_points
+from cubicmw.relations import (
+    group_law_suite,
+    involution_suite,
+    sextuple_suite,
+    tangent_consistency_suite,
+)
+
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
+def counts(results):
+    return [(r.name, r.passes, r.failures, r.skips) for r in results]
+
+
+@pytest.mark.parametrize(
+    "coeffs, height, expected",
+    [
+        ((1, 2, 3, 4), 200, [("involution", 2000, 0, 0), ("sextuple relation", 2000, 0, 77),
+                             ("tangent consistency", 2000, 0, 0)]),
+        ((1, 1, 1, 1), 30, [("involution", 2000, 0, 755), ("sextuple relation", 2000, 0, 3734),
+                            ("tangent consistency", 2000, 0, 0)]),
+    ],
+    ids=["zagier-200", "fermat-30"],
+)
+def test_registry_suite_counts_are_pinned(coeffs, height, expected):
+    # the skip counts pin how EqualPoints and LineOnSurface draws are classified
+    reg = enumerate_points(coeffs, height)
+    suites = (involution_suite, sextuple_suite, tangent_consistency_suite)
+    assert counts(s(reg, 2000, 11) for s in suites) == expected
+
+
+@pytest.mark.parametrize(
+    "p, assoc_skips", [(101, 8), (13, 121)], ids=["f101", "f13"]
+)
+def test_group_law_counts_are_pinned(p, assoc_skips):
+    assert counts(group_law_suite(300, 11, p=p)) == [
+        ("group identity", 300, 0, 0),
+        ("group commutativity", 300, 0, 0),
+        ("group associativity", 300, 0, assoc_skips),
+    ]
 
 
 def test_suites_give_up_when_every_draw_is_skipped():

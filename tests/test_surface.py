@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cubicmw import (
     CubicSurface,
@@ -10,7 +11,6 @@ from cubicmw import (
     on_tangent_section,
     secant_compose,
     surface_point,
-    translate,
 )
 from cubicmw.errors import EqualPoints, InvalidCoefficients, LineOnSurface, NotOnSurface
 from cubicmw.linalg import rank
@@ -82,19 +82,33 @@ def test_translate_is_symmetric_compose(registry_200, zagier_surface):
     rng = random.Random(7)
     for _ in range(100):
         x, y = rng.sample(registry_200.points, 2)
-        assert translate(zagier_surface, x, y) == translate(zagier_surface, y, x)
+        assert secant_compose(zagier_surface, x, y) == secant_compose(zagier_surface, y, x)
 
 
 def test_translate_involution(registry_200, zagier_surface):
     rng = random.Random(8)
     for _ in range(200):
         x, y = rng.sample(registry_200.points, 2)
-        z = translate(zagier_surface, x, y)
+        z = secant_compose(zagier_surface, x, y)
         if z.point == x.point:
             with pytest.raises(EqualPoints):
-                translate(zagier_surface, x, z)
+                secant_compose(zagier_surface, x, z)
         else:
-            assert translate(zagier_surface, x, z).point == y.point
+            assert secant_compose(zagier_surface, x, z).point == y.point
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_involution_property(registry_200, zagier_surface, data):
+    n = len(registry_200)
+    i, j = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+    x, y = registry_200.point(i), registry_200.point(j)
+    try:
+        z = secant_compose(zagier_surface, x, y)
+    except LineOnSurface:
+        assume(False)
+    assume(z.point != x.point)
+    assert secant_compose(zagier_surface, x, z).point == y.point
 
 
 def test_compose_closure_and_collinearity(registry_200, zagier_surface):
