@@ -3,14 +3,10 @@
 from .geometry import (
     CubicForm,
     Field,
-    Hyperplane3,
-    Line2,
     ProjPoint,
     RATIONALS,
     eval_form,
     gradient,
-    hyperplane3,
-    line2,
     line_through,
     meet,
     normalize,
@@ -18,7 +14,6 @@ from .geometry import (
 )
 from .surface import (
     CubicSurface,
-    SurfacePoint,
     height,
     on_tangent_section,
     secant_compose,

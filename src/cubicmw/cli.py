@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from .decompose import build_report, build_table
 from .enumeration import enumerate_points, load_registry, save_registry
-from .errors import CubicError
+from .errors import CubicError, ParseError
 from .geometry import Field, RATIONALS, normalize
 from .relations import (
     group_law_suite,
@@ -53,7 +53,12 @@ def _threads(args) -> int:
     if args.threads is not None:
         return args.threads
     env = os.environ.get("CUBIC_MW_THREADS")
-    return int(env) if env else os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        return _positive_int(env)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ParseError(f"CUBIC_MW_THREADS must be a positive integer, got {env!r}") from None
 
 
 def _add_threads(sub):

@@ -16,7 +16,7 @@ import numpy as np
 from .enumeration import PointRegistry
 from .errors import EmptyRegistry, EqualPoints, LineOnSurface, ParseError
 from .geometry import gradient
-from .surface import on_tangent_section, secant_compose
+from .surface import height, on_tangent_section, secant_compose
 
 OP = "∘"  # the composition symbol used in rendered schemes
 
@@ -66,14 +66,14 @@ def build_table(registry: PointRegistry) -> CompositionTable:
         raise EmptyRegistry("empty registry")
     table = CompositionTable(registry)
     form = registry.surface.form
-    coords = [sp.coords for sp in registry.points]
-    grads = [gradient(form, sp.point) for sp in registry.points]
+    coords = [x.coords for x in registry.points]
+    grads = [gradient(form, x) for x in registry.points]
     gmax = max(abs(c) for g in grads for c in g)
     xmax = max(abs(c) for x in coords for c in x)
     dtype = np.int64 if 32 * gmax * xmax**2 < 2**63 else object
     P = np.array(coords, dtype=dtype)
     G = np.array(grads, dtype=dtype)
-    cap = max(sp.height for sp in registry.points)
+    cap = max(height(x) for x in registry.points)
     index = registry.index
     for i in range(n):
         c1 = P @ G[i]
@@ -246,7 +246,7 @@ def evaluate_scheme(registry: PointRegistry, scheme: Scheme):
         return value
     other = evaluate_scheme(registry, scheme.right)
     z = secant_compose(surface, child, other)
-    if z.coords != value.coords:
+    if z != value:
         raise ValueError(f"scheme value mismatch at rank {scheme.rank}")
     return value
 
@@ -263,9 +263,9 @@ def evaluate_parsed(registry: PointRegistry, tree) -> set[tuple[int, ...]]:
         pa = registry.point(registry.index[a])
         for b in rvals:
             if a == b:
-                for sp in registry.points:
-                    if sp.coords != a and on_tangent_section(surface, sp, pa):
-                        out.add(sp.coords)
+                for x in registry.points:
+                    if x.coords != a and on_tangent_section(surface, x, pa):
+                        out.add(x.coords)
                 continue
             try:
                 z = secant_compose(surface, pa, registry.point(registry.index[b]))

@@ -27,8 +27,8 @@ from .errors import (
     ParseError,
     UnsortedInput,
 )
-from .geometry import RATIONALS, eval_form, normalize
-from .surface import CubicSurface, SurfacePoint, height
+from .geometry import RATIONALS, ProjPoint, normalize
+from .surface import CubicSurface, height, surface_point
 
 _ORACLE_CAP = 200
 _CHUNK_ENTRIES = 1 << 15  # pair entries a side in one value-range chunk, on average
@@ -40,28 +40,34 @@ class PointRegistry:
 
     surface: CubicSurface
     bound: int
-    points: list[SurfacePoint]
+    points: list[ProjPoint]
     index: dict[tuple[int, ...], int] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.index:
-            self.index = {sp.coords: r for r, sp in enumerate(self.points, start=1)}
+            self.index = {x.coords: r for r, x in enumerate(self.points, start=1)}
 
     def __len__(self):
         return len(self.points)
 
-    def point(self, rank: int) -> SurfacePoint:
+    def point(self, rank: int) -> ProjPoint:
         return self.points[rank - 1]
 
 
+def _diagonal_surface(surface: CubicSurface | tuple) -> CubicSurface:
+    """The surface itself, or the diagonal surface of its four nonzero coefficients."""
+    return surface if isinstance(surface, CubicSurface) else CubicSurface.diagonal(surface)
+
+
 def _diagonal_coeffs(surface: CubicSurface) -> tuple[int, int, int, int]:
+    """(a1, a2, a3, a4) of a1*x1^3 + ... + a4*x4^3; CubicSurface rejects a zero a_i."""
+    if surface.form.dim != 4:
+        raise InvalidCoefficients("enumeration supports forms in 4 variables only")
     a = [0, 0, 0, 0]
     for expo, c in surface.form.coeffs.items():
         if 3 not in expo:
             raise InvalidCoefficients("enumeration supports diagonal forms only")
         a[expo.index(3)] = c
-    if any(v == 0 for v in a):
-        raise InvalidCoefficients(f"zero diagonal coefficient in {a}")
     return tuple(a)
 
 
@@ -72,12 +78,7 @@ def _sorted_registry(surface: CubicSurface, bound: int, vectors) -> PointRegistr
         if height(x) <= bound:
             pts.add(x)
     ordered = sorted(pts, key=lambda x: (height(x), x.coords))
-    sps = []
-    for x in ordered:
-        if eval_form(surface.form, x) != 0:
-            raise NotOnSurface(f"{x} is not on the surface")
-        sps.append(SurfacePoint(x, height(x)))
-    return PointRegistry(surface, bound, sps)
+    return PointRegistry(surface, bound, [surface_point(surface, x) for x in ordered])
 
 
 def _ceil_cbrt(n):
@@ -122,10 +123,7 @@ def enumerate_points(
     The result is independent of `threads`; workers only take value-range
     chunks of the join in turn.
     """
-    if not isinstance(surface, CubicSurface):
-        if len(surface) != 4 or any(c == 0 for c in surface):
-            raise InvalidCoefficients(f"need four nonzero coefficients, got {surface}")
-        surface = CubicSurface.diagonal(surface)
+    surface = _diagonal_surface(surface)
     a1, a2, a3, a4 = _diagonal_coeffs(surface)
     if bound < 1:
         raise InvalidCoefficients(f"bound must be >= 1, got {bound}")
@@ -185,8 +183,7 @@ def brute_force_oracle(surface: CubicSurface | tuple, bound: int) -> PointRegist
     Iterates every (x1,x2,x3) with |x1|+|x2|+|x3| <= bound and solves the
     surface equation exactly for x4.  Guarded to small bounds; tests only.
     """
-    if not isinstance(surface, CubicSurface):
-        surface = CubicSurface.diagonal(surface)
+    surface = _diagonal_surface(surface)
     if bound > _ORACLE_CAP:
         raise BoundTooLarge(f"oracle is capped at H <= {_ORACLE_CAP}")
     a1, a2, a3, a4 = _diagonal_coeffs(surface)
@@ -217,16 +214,15 @@ def save_registry(registry: PointRegistry, path, extra_header: list[str] | None 
         f"# height: {registry.bound}",
     ]
     lines.extend(extra_header or [])
-    for sp in registry.points:
-        lines.append(" ".join(str(c) for c in sp.coords))
+    for x in registry.points:
+        lines.append(" ".join(str(c) for c in x.coords))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_registry(path, surface: CubicSurface | tuple) -> PointRegistry:
     """Read a point file back, validating equation, normalization and order."""
-    if not isinstance(surface, CubicSurface):
-        surface = CubicSurface.diagonal(surface)
+    surface = _diagonal_surface(surface)
     bound = None
     points = []
     with open(path) as fh:
@@ -254,12 +250,13 @@ def load_registry(path, surface: CubicSurface | tuple) -> PointRegistry:
             x = normalize(raw, RATIONALS)
             if x.coords != raw:
                 raise ParseError(f"line {lineno}: point not in normalized form")
-            if eval_form(surface.form, x) != 0:
-                raise NotOnSurface(f"line {lineno}: {x} not on the surface")
-            points.append(SurfacePoint(x, height(x)))
-    keys = [(sp.height, sp.coords) for sp in points]
+            try:
+                points.append(surface_point(surface, x))
+            except NotOnSurface as exc:
+                raise NotOnSurface(f"line {lineno}: {exc}") from None
+    keys = [(height(x), x.coords) for x in points]
     if keys != sorted(keys) or len(set(keys)) != len(keys):
         raise UnsortedInput(f"{path}: points not in (height, lex) order")
     if bound is None:
-        bound = max((sp.height for sp in points), default=1)
+        bound = max((height(x) for x in points), default=1)
     return PointRegistry(surface, bound, points)

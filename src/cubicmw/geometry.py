@@ -1,8 +1,8 @@
 """Exact projective arithmetic over Q and small prime fields.
 
-Points, lines, hyperplanes and integer cubic forms with evaluation,
-gradient and polarization.  All arithmetic is exact; nothing here uses
-floating point.
+Projective vectors (points, and by duality lines and planes) and integer
+cubic forms with evaluation, gradient and polarization.  All arithmetic is
+exact; nothing here uses floating point.
 """
 
 from __future__ import annotations
@@ -78,7 +78,11 @@ def _canonical(raw: Sequence[int], field: Field) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ProjPoint:
-    """Normalized homogeneous coordinates of a point in P^2 or P^3."""
+    """Normalized homogeneous coordinates of a projective vector.
+
+    A point of P^2 or P^3, or by duality a line of P^2 or a plane of P^3
+    given by its dual coordinates.
+    """
 
     coords: tuple[int, ...]
     field: Field = RATIONALS
@@ -91,39 +95,19 @@ class ProjPoint:
         return "(" + ":".join(str(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
-class Line2:
-    """Line in P^2 by normalized dual coordinates."""
-
-    coords: tuple[int, ...]
-    field: Field = RATIONALS
-
-
-@dataclass(frozen=True)
-class Hyperplane3:
-    """Hyperplane in P^3 by normalized dual coordinates."""
-
-    coords: tuple[int, ...]
-    field: Field = RATIONALS
-
-
 def normalize(raw: Sequence[int], field: Field = RATIONALS) -> ProjPoint:
-    """Canonical projective point: primitive, sign-fixed (Q) or monic-lead (F_p)."""
+    """Canonical projective vector: primitive, sign-fixed (Q) or monic-lead (F_p)."""
     if len(raw) not in (3, 4):
         raise DimensionMismatch(f"expected 3 or 4 coordinates, got {len(raw)}")
     return ProjPoint(_canonical(raw, field), field)
 
 
-def line2(raw: Sequence[int], field: Field = RATIONALS) -> Line2:
-    if len(raw) != 3:
-        raise DimensionMismatch("a line in P^2 has 3 dual coordinates")
-    return Line2(_canonical(raw, field), field)
-
-
-def hyperplane3(raw: Sequence[int], field: Field = RATIONALS) -> Hyperplane3:
-    if len(raw) != 4:
-        raise DimensionMismatch("a hyperplane in P^3 has 4 dual coordinates")
-    return Hyperplane3(_canonical(raw, field), field)
+def _check_plane(a: ProjPoint, b: ProjPoint) -> None:
+    """Both vectors over one field and of dimension 3: points or lines of P^2."""
+    if a.field != b.field:
+        raise DimensionMismatch(f"vectors over different fields: {a.field}, {b.field}")
+    if a.dim != 3 or b.dim != 3:
+        raise DimensionMismatch(f"need vectors of P^2, got {a} and {b}")
 
 
 def _cross(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -134,25 +118,17 @@ def _cross(a: Sequence[int], b: Sequence[int]) -> list[int]:
     ]
 
 
-def line_through(a: ProjPoint, b: ProjPoint) -> Line2:
-    """The unique line of P^2 containing the two distinct points a, b."""
-    if a.field != b.field:
-        raise DimensionMismatch("points over different fields")
-    if a.dim != 3 or b.dim != 3:
-        raise DimensionMismatch("line_through needs points of P^2")
+def line_through(a: ProjPoint, b: ProjPoint) -> ProjPoint:
+    """Dual coordinates of the unique line of P^2 through the distinct points a, b."""
+    _check_plane(a, b)
     if a.coords == b.coords:
         raise CoincidentPoints(f"{a} = {b}")
-    try:
-        return line2(_cross(a.coords, b.coords), a.field)
-    except ZeroVector:
-        # proportional mod p despite distinct canonical forms cannot happen
-        raise CoincidentPoints(f"{a} = {b}")
+    return normalize(_cross(a.coords, b.coords), a.field)
 
 
-def meet(l1: Line2, l2: Line2) -> ProjPoint:
+def meet(l1: ProjPoint, l2: ProjPoint) -> ProjPoint:
     """Intersection point of two distinct lines of P^2."""
-    if l1.field != l2.field:
-        raise DimensionMismatch("lines over different fields")
+    _check_plane(l1, l2)
     if l1.coords == l2.coords:
         raise CoincidentLines(f"{l1.coords} = {l2.coords}")
     return normalize(_cross(l1.coords, l2.coords), l1.field)
@@ -164,8 +140,11 @@ def dot(u: Sequence[int], v: Sequence[int], p: int | None = None) -> int:
     return d if p is None else d % p
 
 
-def incident(line: Line2 | Hyperplane3, x: ProjPoint) -> bool:
-    return dot(line.coords, x.coords, x.field.p) == 0
+def incident(dual: ProjPoint, x: ProjPoint) -> bool:
+    """Whether x lies on the line or plane with dual coordinates `dual`."""
+    if dual.dim != x.dim:
+        raise DimensionMismatch(f"dual vector {dual} and point {x} differ in length")
+    return dot(dual.coords, x.coords, x.field.p) == 0
 
 
 @dataclass

@@ -7,9 +7,9 @@ evaluation matrices, not for anything performance-critical.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
-from .geometry import Field
+from .geometry import RATIONALS, Field, _canonical
 
 
 def _rref(rows: list[list], field: Field):
@@ -44,21 +44,9 @@ def _rref(rows: list[list], field: Field):
 
 
 def _primitive(vec: list[Fraction]) -> tuple[int, ...]:
-    """Clear denominators and divide by content; first nonzero entry positive."""
-    den = 1
-    for v in vec:
-        den = den * v.denominator // gcd(den, v.denominator)
-    ints = [int(v * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-x for x in ints]
-            break
-    return tuple(ints)
+    """Clear denominators, then the canonical form over Q: primitive, lead positive."""
+    den = lcm(*(v.denominator for v in vec))
+    return _canonical([int(v * den) for v in vec], RATIONALS)
 
 
 def kernel_basis(matrix: list[list[int]], field: Field) -> list[tuple[int, ...]]:

@@ -72,7 +72,7 @@ def involution_suite(registry: PointRegistry, trials: int, seed: int = 0) -> Sui
         except LineOnSurface:
             _skip(res, trials)
             continue
-        if z.point == x.point:
+        if z == x:
             # tangent at x: recomposition must be exactly the multivalued case
             try:
                 secant_compose(surface, x, z)
@@ -85,7 +85,7 @@ def involution_suite(registry: PointRegistry, trials: int, seed: int = 0) -> Sui
         except LineOnSurface:
             _skip(res, trials)
             continue
-        if back.point == y.point:
+        if back == y:
             res.passes += 1
         else:
             res.failures += 1
@@ -109,7 +109,7 @@ def sextuple_suite(registry: PointRegistry, trials: int, seed: int = 0) -> Suite
         except (EqualPoints, LineOnSurface):
             _skip(res, trials)
             continue
-        if cur.point == z.point:
+        if cur == z:
             res.passes += 1
         else:
             res.failures += 1
@@ -128,7 +128,7 @@ def tangent_consistency_suite(
     for _ in range(trials):
         x, y = rng.sample(pts, 2)
         rel = on_tangent_section(surface, x, y)
-        c1 = polar_coeffs(surface.form, y.point, x.point)[1]
+        c1 = polar_coeffs(surface.form, y, x)[1]
         if rel == (c1 == 0):
             res.passes += 1
         else:

@@ -32,11 +32,9 @@ from .errors import (
 from .geometry import (
     CubicForm,
     Field,
-    Hyperplane3,
     ProjPoint,
     RATIONALS,
     eval_form,
-    hyperplane3,
     line_through,
     meet,
     normalize,
@@ -44,17 +42,17 @@ from .geometry import (
 from .linalg import det3, kernel_basis, rank
 from .planecubic import PlaneCubic, cubic_compose
 
-# ten cubic monomials in 3 variables, fixed order
-CUBIC_MONOMIALS_3 = [
-    (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
-    (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3),
-]
 
-# twenty cubic monomials in 4 variables, fixed order
-CUBIC_MONOMIALS_4 = sorted(
-    (e for e in itertools.product(range(4), repeat=4) if sum(e) == 3),
-    reverse=True,
-)
+def _monomials(n: int, degree: int) -> list[tuple[int, ...]]:
+    """Exponent vectors of the monomials of one degree in n variables, lex descending."""
+    return sorted(
+        (e for e in itertools.product(range(degree + 1), repeat=n) if sum(e) == degree),
+        reverse=True,
+    )
+
+
+CUBIC_MONOMIALS_3 = _monomials(3, 3)  # ten, starting (3,0,0), (2,1,0), (2,0,1)
+CUBIC_MONOMIALS_4 = _monomials(4, 3)  # twenty
 
 DEFAULT_BASE = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (1, 4, 9)]
 
@@ -67,22 +65,25 @@ def _monomial_value(coords, expo) -> int:
     return v
 
 
+def _collinear(a: ProjPoint, b: ProjPoint, c: ProjPoint, p: int | None) -> bool:
+    """Whether three points of P^2 lie on one line: their determinant vanishes."""
+    d = det3(a.coords, b.coords, c.coords)
+    return d == 0 if p is None else d % p == 0
+
+
 def check_general_position(pts: list[ProjPoint]) -> tuple[bool, list[str]]:
     """Pairwise distinct, no three collinear, not all six on a conic."""
     report = []
     if len(pts) != 6:
         return False, [f"expected 6 points, got {len(pts)}"]
     field = pts[0].field
-    p = field.p
     for i, j in itertools.combinations(range(6), 2):
         if pts[i] == pts[j]:
             report.append(f"points {i} and {j} coincide: {pts[i]}")
     for i, j, k in itertools.combinations(range(6), 3):
-        d = det3(pts[i].coords, pts[j].coords, pts[k].coords)
-        if (d == 0) if p is None else (d % p == 0):
+        if _collinear(pts[i], pts[j], pts[k], field.p):
             report.append(f"points {i},{j},{k} are collinear")
-    conic_monomials = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
-    m = [[_monomial_value(x.coords, e) for e in conic_monomials] for x in pts]
+    m = [[_monomial_value(x.coords, e) for e in _monomials(3, 2)] for x in pts]
     if rank(m, field) < 6:
         report.append("all six points lie on a conic")
     return not report, report
@@ -184,7 +185,7 @@ def quaternary_star(
     """Intersection of the twisted cubics through (a,b) and (c,d), via plane lines."""
     l1 = line_through(a, b)
     l2 = line_through(c, d)
-    if l1.coords == l2.coords:
+    if l1 == l2:
         raise CoincidentLines("the four points span a single line")
     x = meet(l1, l2)
     if model.is_base(x):
@@ -218,8 +219,10 @@ def twisted_cubic_samples(
     return out, skipped
 
 
-def pullback_cubic(model: BlowupModel, section: Hyperplane3) -> PlaneCubic:
-    """The plane cubic cut out by a hyperplane section, pulled back through the model."""
+def pullback_cubic(model: BlowupModel, section: ProjPoint) -> PlaneCubic:
+    """The plane cubic cut out by a plane of P^3 (dual coordinates), pulled back."""
+    if section.dim != 4:
+        raise DimensionMismatch(f"a plane of P^3 has 4 dual coordinates, got {section}")
     coeffs: dict[tuple[int, int, int], int] = {}
     for lam, f in zip(section.coords, model.cubics):
         if lam == 0:
@@ -236,7 +239,7 @@ def pullback_cubic(model: BlowupModel, section: Hyperplane3) -> PlaneCubic:
 
 
 def modified_compose(
-    model: BlowupModel, section: Hyperplane3, x: ProjPoint, y: ProjPoint
+    model: BlowupModel, section: ProjPoint, x: ProjPoint, y: ProjPoint
 ) -> ProjPoint:
     """Composition of x, y inside the plane cubic pulled back from the section."""
     curve = pullback_cubic(model, section)
@@ -248,13 +251,13 @@ def modified_compose(
     return z
 
 
-def section_through(model: BlowupModel, pts3: list[ProjPoint]) -> Hyperplane3:
-    """The hyperplane of P^3 through three embedded points; unique in the generic case."""
+def section_through(model: BlowupModel, pts3: list[ProjPoint]) -> ProjPoint:
+    """The plane of P^3 through three embedded points; unique in the generic case."""
     m = [list(x.coords) for x in pts3]
     basis = kernel_basis(m, model.field)
     if len(basis) != 1:
         raise DegenerateSample("the three embedded points are collinear in P^3")
-    return hyperplane3(basis[0], model.field)
+    return normalize(basis[0], model.field)
 
 
 def verify_claim1(
@@ -386,8 +389,7 @@ def plane_closure(
     if any(s.dim != 3 for s in seeds):
         raise DimensionMismatch("plane closure needs points of P^2")
     for i, j, k in itertools.combinations(range(4), 3):
-        d = det3(seeds[i].coords, seeds[j].coords, seeds[k].coords)
-        if (d == 0) if field.p is None else (d % field.p == 0):
+        if _collinear(seeds[i], seeds[j], seeds[k], field.p):
             raise DegenerateSeeds(f"seeds {i},{j},{k} are collinear")
     if max_generations is not None and max_generations < 0:
         raise InvalidBound(f"max_generations must be >= 0, got {max_generations}")

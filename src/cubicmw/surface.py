@@ -34,32 +34,21 @@ class CubicSurface:
 
     @classmethod
     def diagonal(cls, coefficients, label: str = "") -> "CubicSurface":
-        return cls(CubicForm.diagonal(coefficients), label)
+        """a1*x1^3 + a2*x2^3 + a3*x3^3 + a4*x4^3 from four nonzero coefficients."""
+        a = tuple(coefficients)
+        if len(a) != 4 or 0 in a:
+            raise InvalidCoefficients(f"need four nonzero coefficients, got {a}")
+        return cls(CubicForm.diagonal(a), label)
 
 
-@dataclass(frozen=True)
-class SurfacePoint:
-    point: ProjPoint
-    height: int
-
-    @property
-    def coords(self):
-        return self.point.coords
-
-    def __repr__(self):
-        return repr(self.point)
-
-
-def surface_point(surface: CubicSurface, x: ProjPoint) -> SurfacePoint:
-    """Wrap a point after checking it satisfies the surface equation."""
+def surface_point(surface: CubicSurface, x: ProjPoint) -> ProjPoint:
+    """The point x itself, after checking that it satisfies the surface equation."""
     if eval_form(surface.form, x) != 0:
         raise NotOnSurface(f"{x} is not on {surface.label or 'the surface'}")
-    return SurfacePoint(x, height(x))
+    return x
 
 
-def secant_compose(
-    surface: CubicSurface, x: SurfacePoint, y: SurfacePoint
-) -> SurfacePoint:
+def secant_compose(surface: CubicSurface, x: ProjPoint, y: ProjPoint) -> ProjPoint:
     """Third intersection of the secant line through x and y with the surface.
 
     May return x or y itself (tangency); raises EqualPoints at x = y and
@@ -67,22 +56,18 @@ def secant_compose(
     middle coefficients c1 = grad F(x)·y and c2 = grad F(y)·x, and its third
     root t = -c1/c2 gives c2·x - c1·y.
     """
-    xp, yp = x.point, y.point
-    if xp == yp:
+    if x == y:
         raise EqualPoints(f"x o x is multivalued; use on_tangent_section ({x})")
-    c1 = dot(gradient(surface.form, xp), yp.coords, xp.field.p)
-    c2 = dot(gradient(surface.form, yp), xp.coords, xp.field.p)
+    c1 = dot(gradient(surface.form, x), y.coords, x.field.p)
+    c2 = dot(gradient(surface.form, y), x.coords, x.field.p)
     if c1 == 0 and c2 == 0:
         raise LineOnSurface(f"line through {x} and {y} lies on the surface")
-    raw = [c2 * a - c1 * b for a, b in zip(xp.coords, yp.coords)]
-    z = normalize(raw, xp.field)
-    return SurfacePoint(z, height(z))
+    raw = [c2 * a - c1 * b for a, b in zip(x.coords, y.coords)]
+    return normalize(raw, x.field)
 
 
-def on_tangent_section(
-    surface: CubicSurface, x: SurfacePoint, y: SurfacePoint
-) -> bool:
+def on_tangent_section(surface: CubicSurface, x: ProjPoint, y: ProjPoint) -> bool:
     """Whether x lies on the tangent-plane section at y (the relation x = y o y)."""
-    if x.point == y.point:
+    if x == y:
         raise EqualPoints(f"tangent relation needs x != y ({x})")
-    return dot(gradient(surface.form, y.point), x.coords, x.point.field.p) == 0
+    return dot(gradient(surface.form, y), x.coords, x.field.p) == 0

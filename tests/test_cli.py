@@ -185,18 +185,38 @@ def test_plane_closure_q_requires_cap(capsys):
          None, "DegenerateSeeds"),
         (["plane-closure", "--field", "fp:7", "--max-generations", "-1"], None, "InvalidBound"),
         (["plane-closure", "--field", "fp:7", "--extra", "1,2,3,4"], None, "DimensionMismatch"),
+        (["CUBIC_MW_THREADS=abc", "enumerate", "--coeffs", "1,2,3,4", "--height", "10",
+          "--out", "{pts}"], None, "ParseError"),
+        (["CUBIC_MW_THREADS=0", "enumerate", "--coeffs", "1,2,3,4", "--height", "10",
+          "--out", "{pts}"], None, "ParseError"),
+        (["CUBIC_MW_THREADS=-3", "verify-relations", "--height", "10", "--trials", "10"],
+         None, "ParseError"),
+        (["decompose", "--points", "{pts}", "--coeffs", "1,2,3,4,5", "--report", "{report}"],
+         "# height: 24\n1 0 1 -1\n", "InvalidCoefficients"),
+        (["decompose", "--points", "{pts}", "--coeffs", "1,2,3", "--report", "{report}"],
+         "# height: 24\n1 0 1 -1\n", "InvalidCoefficients"),
+        (["compose", "--coeffs", "0,0,0,0", "--x", "1,0,1,-1", "--y", "1,1,-1,0"],
+         None, "InvalidCoefficients"),
     ],
     ids=["zero-coefficient", "empty-points", "missing-points", "bad-height-header",
          "too-few-points", "other-surface-header", "pair-values-beyond-int64",
          "closure-cap-over-fp", "closure-cap-zero", "closure-seed-above-cap",
-         "closure-negative-generations", "closure-seed-in-p3"],
+         "closure-negative-generations", "closure-seed-in-p3", "threads-env-not-a-number",
+         "threads-env-zero", "threads-env-negative", "five-coefficients", "three-coefficients",
+         "all-zero-coefficients"],
 )
-def test_bad_input_is_one_error_line(tmp_path, capsys, argv, points_text, name):
+def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, points_text, name):
+    """argv may start with NAME=value environment assignments, as in a shell."""
     pts = tmp_path / "pts.txt"
     if points_text is not None:
         pts.write_text(points_text)
     paths = {"pts": str(pts), "report": str(tmp_path / "report.json")}
-    code, _, stderr = run(capsys, *(a.format(**paths) for a in argv))
+    env = [a for a in argv if a.startswith("CUBIC_MW_")]
+    for assignment in env:
+        monkeypatch.setenv(*assignment.split("=", 1))
+    code, _, stderr = run(capsys, *(a.format(**paths) for a in argv[len(env):]))
     assert code == 1
     assert stderr.startswith(f"error: {name}: ")
     assert len(stderr.splitlines()) == 1
+    for assignment in env:
+        assert assignment.split("=")[0] in stderr

@@ -8,6 +8,7 @@ from cubicmw import (
     build_report,
     build_table,
     enumerate_points,
+    height,
     normalize,
     on_tangent_section,
     render_scheme,
@@ -81,9 +82,9 @@ def big_registry():
                 composed.append(secant_compose(surface, x, y))
             except (EqualPoints, LineOnSurface):
                 pass
-    pts = {sp.coords: sp for sp in small + big + composed}
-    ordered = sorted(pts.values(), key=lambda sp: (sp.height, sp.coords))
-    return PointRegistry(surface, ordered[-1].height, ordered)
+    pts = set(small + big + composed)
+    ordered = sorted(pts, key=lambda x: (height(x), x.coords))
+    return PointRegistry(surface, height(ordered[-1]), ordered)
 
 
 @pytest.fixture(scope="module")
@@ -99,12 +100,12 @@ def test_table_matches_pair_oracle(coeffs, bound):
 
 
 def test_table_matches_pair_oracle_beyond_int64(big_registry, big_table):
-    xmax = max(abs(c) for sp in big_registry.points for c in sp.coords)
+    xmax = max(abs(c) for x in big_registry.points for c in x.coords)
     assert xmax**4 > 2**63
     table = big_table
     assert (table.in_vh, table.undefined, table.tangent) == table_by_pairs(big_registry)
     assert table.undefined
-    assert any(big_registry.point(k).height > 10**6 for k in table.in_vh.values())
+    assert any(height(big_registry.point(k)) > 10**6 for k in table.in_vh.values())
 
 
 def test_table_holds_plain_ints(table_300, big_table):

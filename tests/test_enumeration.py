@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from cubicmw import (
     enumerate_points,
     enumeration,
     eval_form,
+    height,
     load_registry,
     normalize,
     save_registry,
@@ -81,16 +83,16 @@ def test_registry_invariants(registry_200):
     surface = registry_200.surface
     seen = set()
     prev_key = None
-    for rank, spt in enumerate(registry_200.points, start=1):
-        assert eval_form(surface.form, spt.point) == 0
-        assert normalize(spt.coords).coords == spt.coords
-        assert spt.height <= registry_200.bound
-        key = (spt.height, spt.coords)
+    for rank, x in enumerate(registry_200.points, start=1):
+        assert eval_form(surface.form, x) == 0
+        assert normalize(x.coords).coords == x.coords
+        assert height(x) <= registry_200.bound
+        key = (height(x), x.coords)
         assert prev_key is None or prev_key < key
         prev_key = key
-        assert spt.coords not in seen
-        seen.add(spt.coords)
-        assert registry_200.index[spt.coords] == rank
+        assert x.coords not in seen
+        seen.add(x.coords)
+        assert registry_200.index[x.coords] == rank
 
 
 nonzero = st.integers(-9, 9).filter(bool)
@@ -166,10 +168,23 @@ def test_save_load_round_trip(tmp_path, registry_200):
     assert back.bound == registry_200.bound
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([ZAGIER, (1, 1, 1, 1)]), st.integers(1, 60))
+def test_save_load_round_trip_property(coeffs, bound):
+    reg = enumerate_points(coeffs, bound)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "points.txt")
+        save_registry(reg, path)
+        back = load_registry(path, coeffs)
+    assert back.bound == reg.bound
+    assert back.points == reg.points
+    assert back.index == reg.index
+
+
 def test_load_rejects_point_off_surface(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 1 1 1\n")
-    with pytest.raises(NotOnSurface):
+    with pytest.raises(NotOnSurface, match="^line 1: "):
         load_registry(path, ZAGIER)
 
 

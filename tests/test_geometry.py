@@ -10,7 +10,6 @@ from cubicmw import (
     RATIONALS,
     eval_form,
     gradient,
-    line2,
     line_through,
     meet,
     normalize,
@@ -22,7 +21,7 @@ from cubicmw.errors import (
     DimensionMismatch,
     ZeroVector,
 )
-from cubicmw.geometry import dot
+from cubicmw.geometry import dot, incident
 
 ZAGIER = CubicForm.diagonal((1, 2, 3, 4))
 
@@ -59,6 +58,31 @@ def test_normalize_scale_invariant_and_idempotent():
         b = normalize(tuple(lam * c for c in raw))
         assert a == b
         assert normalize(a.coords) == a
+
+
+FIELDS = [RATIONALS, Field(2), Field(3), Field(101), Field(2**31 - 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-10**6, 10**6), min_size=3, max_size=4),
+    st.integers(-10**6, 10**6).filter(bool),
+    st.sampled_from(FIELDS),
+)
+def test_normalize_idempotent_and_scale_invariant(raw, lam, field):
+    p = field.p
+    assume(p is None or lam % p)  # a multiple of p is zero in F_p
+    if not any(c if p is None else c % p for c in raw):
+        with pytest.raises(ZeroVector):
+            normalize(raw, field)
+        return
+    x = normalize(raw, field)
+    assert normalize(x.coords, field) == x
+    assert normalize([lam * c for c in raw], field) == x
+    # and x is proportional to raw
+    for i, j in itertools.combinations(range(len(raw)), 2):
+        d = x.coords[i] * raw[j] - x.coords[j] * raw[i]
+        assert (d if p is None else d % p) == 0
 
 
 def test_prime_field_validation():
@@ -145,7 +169,7 @@ def test_line_through_and_meet():
     b = normalize((0, 1, 0))
     line = line_through(a, b)
     assert line.coords == (0, 0, 1)
-    x = meet(line2((0, 0, 1)), line2((1, -1, 0)))
+    x = meet(normalize((0, 0, 1)), normalize((1, -1, 0)))
     assert x.coords == (1, 1, 0)
 
 
@@ -166,7 +190,25 @@ def test_coincident_errors():
     with pytest.raises(CoincidentPoints):
         line_through(a, normalize((2, 4, 6)))
     with pytest.raises(CoincidentLines):
-        meet(line2((1, 2, 3)), line2((1, 2, 3)))
+        meet(normalize((1, 2, 3)), normalize((1, 2, 3)))
+
+
+def test_dual_vectors_need_matching_dimensions():
+    line, x = normalize((1, 0, 0)), normalize((0, 1, 0))
+    assert incident(line, x)
+    with pytest.raises(DimensionMismatch):
+        incident(line, normalize((0, 1, 0, 5)))
+    with pytest.raises(DimensionMismatch):
+        incident(normalize((1, 0, 0, 0)), x)
+    for a, b in [
+        (normalize((1, 0, 0, 0)), normalize((0, 1, 0, 0))),  # P^3, not P^2
+        (normalize((1, 0, 0)), normalize((0, 1, 0, 0))),
+        (normalize((1, 0, 0)), normalize((0, 1, 0), Field(7))),  # two fields
+    ]:
+        with pytest.raises(DimensionMismatch):
+            line_through(a, b)
+        with pytest.raises(DimensionMismatch):
+            meet(a, b)
 
 
 def test_cubic_form_rejects_bad_input():

@@ -27,12 +27,13 @@ from cubicmw.errors import (
     CubicError,
     DegeneratePosition,
     DegenerateSeeds,
+    DimensionMismatch,
     InvalidBound,
 )
 from cubicmw import splitplane
-from cubicmw.geometry import hyperplane3, line_through, meet
+from cubicmw.geometry import line_through, meet
 from cubicmw.linalg import det4, kernel_basis
-from cubicmw.splitplane import DEFAULT_BASE, BlowupModel
+from cubicmw.splitplane import DEFAULT_BASE, BlowupModel, pullback_cubic
 
 F101 = Field(101)
 
@@ -159,7 +160,7 @@ def _sections_through(model, x3, y3):
     assert len(basis) == 2
     u, v = basis
     w = [a + b for a, b in zip(u, v)]
-    return hyperplane3(u, model.field), hyperplane3(w, model.field)
+    return normalize(u, model.field), normalize(w, model.field)
 
 
 def test_modified_compose_contract_and_section_dependence(model_101):
@@ -186,6 +187,11 @@ def test_modified_compose_contract_and_section_dependence(model_101):
             dependence_seen = True
         done += 1
     assert dependence_seen
+
+
+def test_section_is_a_plane_of_p3(model_101):
+    with pytest.raises(DimensionMismatch):
+        pullback_cubic(model_101, normalize((1, 2, 3), F101))
 
 
 def test_claim1_over_f101(model_101):
