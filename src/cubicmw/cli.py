@@ -33,6 +33,10 @@ def _coeffs(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split(","))
 
 
+def _base(text: str) -> list[tuple[int, ...]] | None:
+    return None if text == "default" else [_coeffs(part) for part in text.split(";")]
+
+
 def _field(text: str) -> Field:
     if text == "q":
         return RATIONALS
@@ -119,10 +123,7 @@ def cmd_verify_relations(args) -> int:
 
 
 def cmd_split_demo(args) -> int:
-    base = None if args.base == "default" else [
-        _coeffs(part) for part in args.base.split(";")
-    ]
-    model = BlowupModel.build(base, args.field)
+    model = BlowupModel.build(args.base, args.field)
     terms = " + ".join(
         f"{c}*x^{''.join(map(str, e))}" for e, c in sorted(model.surface.coeffs.items())
     )
@@ -200,7 +201,8 @@ def main(argv=None) -> int:
 
     p = subs.add_parser("split-demo", help="blow-up model and claim-1 suite")
     p.add_argument("--field", type=_field, default=_field("fp:101"))
-    p.add_argument("--base", default="default", help="'default' or six ;-separated triples")
+    p.add_argument("--base", type=_base, default="default",
+                   help="'default' or six ;-separated triples")
     p.add_argument("--samples", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0, help="seed for the random draws")
     p.set_defaults(func=cmd_split_demo)

@@ -2,13 +2,18 @@
 
 `enumerate_points` finds every primitive projective solution of
 a1*x1^3 + a2*x2^3 + a3*x3^3 + a4*x4^3 = 0 with |x1|+|x2|+|x3|+|x4| <= H
-by a sort-merge join of the pair values a1*u^3 + a2*v^3 against
+by a sort-merge join of the pair values s = a1*u^3 + a2*v^3 against
 -(a3*u^3 + a4*v^3), both over |u|+|v| <= H, one value range [lo, hi) at a
-time.  Within a row u the value is monotone in v, so an exact integer cube
-root gives each row's slice of a range.  Only one range's entries exist at
-a time: O(H^2 log H) work in O(H) plus about _CHUNK_ENTRIES entries a side,
-a few MB at any H.  Equal values fall into one range, so no match is lost
-at an edge.  Pair values must stay below 2^62 (int64), else BoundTooLarge.
+time (Bernstein, Math. Comp. 70, 2001).  Within a row u the value is
+monotone in v, so an exact integer cube root gives each row's slice of a
+range.  x and -x are one point with values s and -s, so only the ranges
+reaching s >= 0 are joined; the one holding 0 is joined whole.  A range
+sorts the bare values of both sides together, reads the shared values
+off adjacent entries and turns only their entries back into (u, v).
+Only one range's entries exist at a time: O(H^2 log H) work in O(H) plus
+about _CHUNK_ENTRIES entries a side.  Equal values fall into one range,
+so no match is lost at an edge.  Pair values must stay below 2^62 (int64
+with a tag bit), else BoundTooLarge.
 `brute_force_oracle` is an independent pure-Python exhaustive loop used to
 cross-check it in tests.
 """
@@ -22,6 +27,7 @@ import numpy as np
 
 from .errors import (
     BoundTooLarge,
+    InvalidBound,
     InvalidCoefficients,
     NotOnSurface,
     ParseError,
@@ -98,7 +104,7 @@ def _expand(start, count):
 
 
 def _pair_chunk(a: int, b: int, bound: int, lo: int, hi: int):
-    """(value, u, v) of every a*u^3 + b*v^3 in [lo, hi) with |u|+|v| <= bound, by row.
+    """Every a*u^3 + b*v^3 in [lo, hi) with |u|+|v| <= bound, by row, and (u, v) by index.
 
     With w = sign(b)*v each row u is |b|*w^3 + a*u^3, increasing in w, so its
     entries in [lo, hi) are the w from ceil_cbrt((lo - a*u^3)/|b|) up to the
@@ -108,11 +114,27 @@ def _pair_chunk(a: int, b: int, bound: int, lo: int, hi: int):
     m = bound - np.abs(u)
     c = a * u**3
     cap = (bound + 1) ** 3
-    first = _ceil_cbrt(np.clip((lo - c + abs(b) - 1) // abs(b), -cap, cap))
-    stop = _ceil_cbrt(np.clip((hi - c + abs(b) - 1) // abs(b), -cap, cap))
+    edge = np.array([[lo], [hi]], dtype=np.int64)
+    first, stop = _ceil_cbrt(np.clip((edge - c + abs(b) - 1) // abs(b), -cap, cap))
     first = np.maximum(first, -m)
     row, w = _expand(first, np.maximum(np.minimum(stop, m + 1) - first, 0))
-    return c[row] + abs(b) * (w * w * w), u[row], w if b > 0 else -w
+    return c[row] + abs(b) * (w * w * w), lambda i: (u[row[i]], w[i] if b > 0 else -w[i])
+
+
+def _shared_values(left, right):
+    """The sorted values on both sides: as 2*s and 2*s + 1 they sort adjacent."""
+    tagged = np.concatenate([left, right]) << 1
+    tagged[len(left):] |= 1
+    tagged.sort()
+    i = np.flatnonzero(np.diff(tagged) == 1)
+    return tagged[i[tagged[i] & 1 == 0]] >> 1
+
+
+def _lookup(values, shared):
+    """Indices of the entries of values in the sorted array shared, and where."""
+    at = np.minimum(np.searchsorted(shared, values), len(shared) - 1)
+    hit = np.flatnonzero(shared[at] == values)
+    return hit, at[hit]
 
 
 def enumerate_points(
@@ -126,33 +148,35 @@ def enumerate_points(
     surface = _diagonal_surface(surface)
     a1, a2, a3, a4 = _diagonal_coeffs(surface)
     if bound < 1:
-        raise InvalidCoefficients(f"bound must be >= 1, got {bound}")
+        raise InvalidBound(f"bound must be >= 1, got {bound}")
     if max(abs(a1) + abs(a2), abs(a3) + abs(a4)) * bound**3 >= 2**62:
         raise BoundTooLarge(f"pair values reach 2^62 at height {bound}")
 
     def join(lo: int, hi: int) -> set[tuple[int, int, int, int]]:
-        lval, lu, lv = _pair_chunk(a1, a2, bound, lo, hi)
-        rval, ru, rv = _pair_chunk(-a3, -a4, bound, lo, hi)
-        if not len(lval) or not len(rval):
+        lval, lpair = _pair_chunk(a1, a2, bound, lo, hi)
+        rval, rpair = _pair_chunk(-a3, -a4, bound, lo, hi)
+        shared = _shared_values(lval, rval)
+        if not len(shared):
             return set()
-        lord, rord = np.argsort(lval), np.argsort(rval)
-        lval, rval = lval[lord], rval[rord]
-        first = np.searchsorted(lval, rval)
-        hit = np.nonzero(lval[np.minimum(first, len(lval) - 1)] == rval)[0]
-        run = np.searchsorted(lval, rval[hit], side="right") - first[hit]
-        k, li = _expand(first[hit], run)
-        li, ri = lord[li], rord[hit[k]]
-        quad = np.stack([lu[li], lv[li], ru[ri], rv[ri]], axis=1)
-        keep = (np.abs(quad).sum(axis=1) <= bound) & quad.any(axis=1)
+        li, lg = _lookup(lval, shared)
+        ri, rg = _lookup(rval, shared)
+        # pair each right entry with the run of left entries of its value
+        li = li[np.argsort(lg)]
+        count = np.bincount(lg, minlength=len(shared))
+        k, run = _expand((np.cumsum(count) - count)[rg], count[rg])
+        li, ri = li[run], ri[k]
+        quad = np.column_stack(lpair(li) + rpair(ri))
+        keep = (np.abs(quad).sum(axis=1) <= bound) & (np.gcd.reduce(quad, axis=1) == 1)
         return set(map(tuple, quad[keep].tolist()))
 
     # The sides only meet where their value ranges overlap.  Edges evenly
     # spaced in cube-root scale give chunks within a small factor of the mean.
+    # -x has value -s, so the ranges reaching s >= 0 hold every point
     top = min(max(abs(a1), abs(a2)), max(abs(a3), abs(a4))) * bound**3
     chunks = -(-(2 * bound * (bound + 1) + 1) // _CHUNK_ENTRIES)
     s = np.linspace(-1.0, 1.0, chunks + 1) * np.cbrt(float(top))
     edges = [-top] + sorted(set(int(e) for e in s[1:-1] ** 3)) + [top + 1]
-    ranges = list(zip(edges[:-1], edges[1:]))
+    ranges = [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > 0]
     threads = max(1, int(threads))
     if threads == 1:
         results = [join(*r) for r in ranges]

@@ -116,6 +116,8 @@ class BlowupModel:
     def build(cls, base_raw=None, field: Field = RATIONALS) -> "BlowupModel":
         base_raw = base_raw if base_raw is not None else DEFAULT_BASE
         base = [normalize(b, field) for b in base_raw]
+        if any(b.dim != 3 for b in base):
+            raise DimensionMismatch("base points must lie in P^2")
         ok, report = check_general_position(base)
         if not ok:
             raise DegeneratePosition("; ".join(report))

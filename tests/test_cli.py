@@ -1,9 +1,17 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubicmw import cli, enumerate_points
 from cubicmw.cli import main
+
+P3_BASE = "1,0,0,5;0,1,0,0;0,0,1,0;1,1,1,0;1,2,3,0;1,4,9,0"
 
 
 def run(capsys, *argv):
@@ -118,6 +126,13 @@ def test_malformed_extra_seed_is_usage_error(capsys):
     assert "argument --extra" in capsys.readouterr().err
 
 
+def test_malformed_base_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["split-demo", "--samples", "3", "--base", "1,0,0;0,1,a"])
+    assert exc.value.code == 2
+    assert "argument --base" in capsys.readouterr().err
+
+
 def test_decompose_report(tmp_path, capsys):
     pts = tmp_path / "pts.txt"
     report = tmp_path / "report.json"
@@ -197,13 +212,18 @@ def test_plane_closure_q_requires_cap(capsys):
          "# height: 24\n1 0 1 -1\n", "InvalidCoefficients"),
         (["compose", "--coeffs", "0,0,0,0", "--x", "1,0,1,-1", "--y", "1,1,-1,0"],
          None, "InvalidCoefficients"),
+        (["enumerate", "--coeffs", "1,2,3,4", "--height", "0", "--out", "{pts}"],
+         None, "InvalidBound"),
+        (["verify-relations", "--height", "-4"], None, "InvalidBound"),
+        (["split-demo", "--samples", "3", "--base", P3_BASE], None, "DimensionMismatch"),
     ],
     ids=["zero-coefficient", "empty-points", "missing-points", "bad-height-header",
          "too-few-points", "other-surface-header", "pair-values-beyond-int64",
          "closure-cap-over-fp", "closure-cap-zero", "closure-seed-above-cap",
          "closure-negative-generations", "closure-seed-in-p3", "threads-env-not-a-number",
          "threads-env-zero", "threads-env-negative", "five-coefficients", "three-coefficients",
-         "all-zero-coefficients"],
+         "all-zero-coefficients", "enumerate-height-zero", "relations-height-negative",
+         "split-base-in-p3"],
 )
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, points_text, name):
     """argv may start with NAME=value environment assignments, as in a shell."""
@@ -220,3 +240,105 @@ def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, points
     assert len(stderr.splitlines()) == 1
     for assignment in env:
         assert assignment.split("=")[0] in stderr
+
+
+def _csv(values):
+    return ",".join(str(v) for v in values)
+
+
+def _mostly(valid, invalid):
+    """Values from valid four times in five, so that most calls get past parsing."""
+    return st.integers(0, 4).flatmap(lambda i: valid if i else invalid)
+
+
+_ints = st.integers(-9, 9)
+_coeffs = _mostly(
+    st.one_of(st.sampled_from(["1,2,3,4", "1,1,1,1", "2,-3,5,-7", "1,-1,2,-2"]),
+              st.lists(_ints.filter(bool), min_size=3, max_size=3)
+              .map(lambda a: _csv([1] + a))),
+    st.one_of(st.lists(_ints, max_size=5).map(_csv),
+              st.sampled_from(["1,2,a,4", "1,,3,4", "", f"{2**61 + 1},1,-1,-{2**61 + 1}"])),
+)
+_vector = _mostly(
+    st.one_of(st.sampled_from(["1,0,1,-1", "1,1,-1,0", "1,-1,-1,1", "0,0,1,-1", "1,2,3"]),
+              st.lists(_ints, min_size=4, max_size=4).map(lambda a: _csv([1] + a[1:]))),
+    st.one_of(st.lists(_ints, max_size=5).map(_csv), st.sampled_from(["x", "1,0,1,-1,"])),
+)
+_height = _mostly(st.integers(1, 40).map(str),
+                  st.one_of(st.integers(-3, 0).map(str), st.sampled_from(["", "abc", "2.5"])))
+_count = _mostly(st.integers(1, 12).map(str),
+                 st.one_of(st.integers(-2, 0).map(str), st.just("abc")))
+_seed = _mostly(st.integers(0, 99).map(str), st.sampled_from(["s", "-1"]))
+# at most 4 threads, so that no call starts many OS threads
+_threads = _mostly(st.sampled_from(["1", "2", "4"]), st.sampled_from(["0", "-1", "abc", ""]))
+_field = _mostly(
+    st.sampled_from(["q", "fp:2", "fp:3", "fp:5", "fp:7", "fp:11", "fp:101"]),
+    st.sampled_from(["fp:4", "fp:0", "fp:-7", "fp:x", "fp:", "r"]),
+)
+_base = _mostly(
+    st.sampled_from(["default", P3_BASE]),
+    st.one_of(st.sampled_from(["1,0,0;0,1,0", "1,2,a", ""]),
+              st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=4).map(_csv),
+                       min_size=5, max_size=7).map(";".join)),
+)
+_points_text = _mostly(
+    st.sampled_from(["# coeffs: 1 2 3 4\n# height: 4\n1 0 1 -1\n1 1 -1 0\n1 -1 -1 1\n",
+                     "0 0 1 -1\n1 -1 0 0\n", "1 0 1 -1\n1 1 -1 0\n1 -1 -1 1\n"]),
+    st.one_of(st.none(), st.text(max_size=30), st.sampled_from(
+        ["", "# height: abc\n1 0 1 -1\n", "1 1 1 1\n", "2 0 2 -2\n", "1 0 1\n",
+         "1 1 -1 0\n1 0 1 -1\n", "# coeffs: 1 1 1 1\n1 0 1 -1\n", "1 0 one -1\n"])),
+)
+# Flags of each subcommand and their values; "{out}" and "{pts}" name files in
+# a fresh directory, "{dir}" the directory itself.  Heights stay <= 40 and
+# counts small, and the flags that default to large work are always given.
+_OPTIONS = {
+    "enumerate": [("--coeffs", _coeffs), ("--height", _height),
+                  ("--out", st.sampled_from(["{out}", "{dir}"])), ("--threads", _threads)],
+    "compose": [("--coeffs", _coeffs), ("--x", _vector), ("--y", _vector)],
+    "decompose": [("--points", st.just("{pts}")), ("--coeffs", _coeffs),
+                  ("--report", st.sampled_from(["{out}", "{dir}"]))],
+    "verify-relations": [("--coeffs", _coeffs), ("--height", _height), ("--trials", _count),
+                         ("--threads", _threads), ("--seed", _seed)],
+    "split-demo": [("--field", _field), ("--base", _base), ("--samples", _count),
+                   ("--seed", _seed)],
+    # over Q a cap of 3 already meets about 5 million line pairs
+    "plane-closure": [("--field", _field), ("--cap", st.integers(-1, 2).map(str)),
+                      ("--extra", _vector), ("--max-generations", _count)],
+}
+_ALWAYS = {"--height", "--trials", "--samples"}
+
+
+@st.composite
+def _cli_calls(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    for flag, values in _OPTIONS[command]:
+        if flag in _ALWAYS or draw(st.integers(0, 5)):
+            argv += [flag, draw(values)]
+    if not draw(st.integers(0, 15)):
+        argv += draw(st.sampled_from([["--bogus"], ["--seed", "1"], ["--threads", "2"]]))
+    return argv, draw(st.one_of(st.none(), _threads)), draw(_points_text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cli_calls())
+def test_no_cli_input_ends_in_a_traceback(call):
+    argv, env_threads, points_text = call
+    env = {} if env_threads is None else {"CUBIC_MW_THREADS": env_threads}
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env):
+        if env_threads is None:
+            os.environ.pop("CUBIC_MW_THREADS", None)
+        paths = {"out": os.path.join(tmp, "out"), "pts": os.path.join(tmp, "pts.txt"),
+                 "dir": tmp}
+        if points_text is not None:
+            with open(paths["pts"], "w") as fh:
+                fh.write(points_text)
+        # any exception but SystemExit escaping main ends in a traceback, and fails here
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main([a.format(**paths) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

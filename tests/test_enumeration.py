@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from cubicmw import (
 )
 from cubicmw.errors import (
     BoundTooLarge,
+    InvalidBound,
     InvalidCoefficients,
     NotOnSurface,
     ParseError,
@@ -43,6 +45,12 @@ def test_small_bounds():
 def test_invalid_coefficients():
     with pytest.raises(InvalidCoefficients):
         enumerate_points((1, 0, 3, 4), 10)
+
+
+@pytest.mark.parametrize("bound", [0, -4])
+def test_height_below_one_is_invalid_bound(bound):
+    with pytest.raises(InvalidBound):
+        enumerate_points(ZAGIER, bound)
 
 
 def test_oracle_guard():
@@ -108,21 +116,38 @@ def test_join_matches_oracle(coeff, bound):
 
 
 def test_tiny_chunks_match_oracle(monkeypatch):
-    starts = set()
     pair_chunk = enumeration._pair_chunk
+    # 2*24*25 + 1 = 1201 pair entries a side: 172 ranges of 7, or 5 of 300
+    for entries, zero_is_edge in ((7, True), (300, False)):
+        ranges = set()
 
-    def spy(a, b, bound, lo, hi):
-        starts.add(lo)
-        return pair_chunk(a, b, bound, lo, hi)
+        def spy(a, b, bound, lo, hi):
+            ranges.add((lo, hi))
+            return pair_chunk(a, b, bound, lo, hi)
 
-    monkeypatch.setattr(enumeration, "_CHUNK_ENTRIES", 1)
-    monkeypatch.setattr(enumeration, "_pair_chunk", spy)
-    for coeff in (ZAGIER, (1, 1, 1, 1), (1, -1, 2, -2)):
-        assert coords(enumerate_points(coeff, 24, threads=3)) == coords(
-            brute_force_oracle(coeff, 24)
-        )
-    # value 0 is shared by every (u, -u) on the Fermat sides and starts a chunk
-    assert 0 in starts
+        monkeypatch.setattr(enumeration, "_CHUNK_ENTRIES", entries)
+        monkeypatch.setattr(enumeration, "_pair_chunk", spy)
+        for coeff in (ZAGIER, (1, 1, 1, 1), (1, -1, 2, -2)):
+            assert coords(enumerate_points(coeff, 24, threads=3)) == coords(
+                brute_force_oracle(coeff, 24)
+            )
+        # -x has pair value -s: the ranges reaching s >= 0 hold every point
+        assert all(hi > 0 for _, hi in ranges)
+        # value 0 is shared by every (u, -u) on the Fermat sides; it starts a
+        # range when the count is even and lies inside one when it is odd
+        if zero_is_edge:
+            assert 0 in {lo for lo, _ in ranges}
+        else:
+            assert any(lo < 0 < hi for lo, hi in ranges)
+
+
+def test_primitive_point_kept_beside_its_multiples(monkeypatch):
+    # k*(1, 0, 1, -1) for k <= 8 are solutions of height <= 24 too, with pair
+    # value k^3 in other ranges; the join drops them and must keep k = 1
+    monkeypatch.setattr(enumeration, "_CHUNK_ENTRIES", 7)
+    reg = enumerate_points(ZAGIER, 24)
+    assert reg.index[(1, 0, 1, -1)] == 1
+    assert all(math.gcd(*x.coords) == 1 for x in reg.points)
 
 
 def test_pair_values_beyond_int64_refused():

@@ -87,6 +87,19 @@ def test_degenerate_position_raises():
         BlowupModel.build([p.coords for p in pts])
 
 
+@pytest.mark.parametrize("field", [RATIONALS, F101])
+@pytest.mark.parametrize(
+    "base",
+    [[(1, 0, 0, 5), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0), (1, 2, 3, 0), (1, 4, 9, 0)],
+     DEFAULT_BASE[:5] + [(1, 4, 9, 2)]],
+    ids=["all-in-p3", "one-in-p3"],
+)
+def test_base_points_of_p3_refused(base, field):
+    # the collinearity and conic checks read only three coordinates
+    with pytest.raises(DimensionMismatch):
+        BlowupModel.build(base, field)
+
+
 def test_embed_base_point_error(model_q):
     with pytest.raises(BasePoint):
         embed(model_q, model_q.base[0])
