@@ -9,12 +9,14 @@ form the generator set.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .enumeration import PointRegistry
 from .errors import EmptyRegistry, EqualPoints, LineOnSurface, ParseError
+from .fixpoint import semi_naive
 from .geometry import gradient
 from .surface import height, on_tangent_section, secant_compose
 
@@ -43,6 +45,15 @@ class CompositionTable:
         if key in self.undefined:
             return ("undefined", None)
         return ("outside", None)
+
+    @functools.cached_property
+    def pairs_of(self) -> dict[int, list[tuple[tuple[int, int], int]]]:
+        """Rank -> the in_vh items ((i, j), k) with i or j equal to that rank."""
+        index: dict[int, list[tuple[tuple[int, int], int]]] = {}
+        for item in self.in_vh.items():
+            for r in item[0]:
+                index.setdefault(r, []).append(item)
+        return index
 
 
 def build_table(registry: PointRegistry) -> CompositionTable:
@@ -134,31 +145,21 @@ def _closure(
 
     parents[k] = (i, j) is the lexicographically smallest producing pair in
     the earliest generation; (i, i) marks the tangent relation k = i o i.
+    A round visits only the relations with an input new in the last round.
     """
-    reached = set(seeds)
-    parents: dict[int, tuple[int, int]] = {}
-    pair_items = sorted(table.in_vh.items())
-    tangent_items = sorted(table.tangent.items())
-    while True:
-        candidates: dict[int, tuple[int, int]] = {}
-        for (i, j), k in pair_items:
-            if k not in reached and i in reached and j in reached:
-                prev = candidates.get(k)
-                if prev is None or (i, j) < prev:
-                    candidates[k] = (i, j)
-        for i, row in tangent_items:
-            if i not in reached:
-                continue
-            for j in row:
-                if j not in reached:
-                    prev = candidates.get(j)
-                    if prev is None or (i, i) < prev:
-                        candidates[j] = (i, i)
-        if not candidates:
-            return reached, parents
-        for k, pair in candidates.items():
-            reached.add(k)
-            parents[k] = pair
+
+    def derive(old, new, known):
+        offers = [(k, (i, j)) for r in new for (i, j), k in table.pairs_of.get(r, ())
+                  if k not in known and i in known and j in known]
+        offers += [(j, (r, r)) for r in new for j in table.tangent[r] if j not in known]
+        found: dict[int, tuple[int, int]] = {}
+        for k, pair in offers:
+            if k not in found or pair < found[k]:
+                found[k] = pair
+        return found
+
+    known, _ = semi_naive(seeds, derive)
+    return set(known), {k: pair for k, pair in known.items() if pair is not None}
 
 
 def _scheme_from_parents(

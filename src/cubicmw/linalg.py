@@ -43,6 +43,13 @@ def _rref(rows: list[list], field: Field):
     return pivots
 
 
+def _reduced(matrix: list[list[int]], field: Field):
+    """RREF of a copy of the matrix over the field: (rows, pivot columns)."""
+    p = field.p
+    rows = [[v % p if p is not None else Fraction(v) for v in row] for row in matrix]
+    return rows, _rref(rows, field)
+
+
 def _primitive(vec: list[Fraction]) -> tuple[int, ...]:
     """Clear denominators, then the canonical form over Q: primitive, lead positive."""
     den = lcm(*(v.denominator for v in vec))
@@ -59,11 +66,7 @@ def kernel_basis(matrix: list[list[int]], field: Field) -> list[tuple[int, ...]]
     if not matrix:
         return []
     p = field.p
-    if p is not None:
-        rows = [[v % p for v in row] for row in matrix]
-    else:
-        rows = [[Fraction(v) for v in row] for row in matrix]
-    pivots = _rref(rows, field)
+    rows, pivots = _reduced(matrix, field)
     ncols = len(matrix[0])
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -81,14 +84,7 @@ def kernel_basis(matrix: list[list[int]], field: Field) -> list[tuple[int, ...]]
 
 
 def rank(matrix: list[list[int]], field: Field) -> int:
-    if not matrix:
-        return 0
-    p = field.p
-    if p is not None:
-        rows = [[v % p for v in row] for row in matrix]
-    else:
-        rows = [[Fraction(v) for v in row] for row in matrix]
-    return len(_rref(rows, field))
+    return len(_reduced(matrix, field)[1])
 
 
 def det3(a, b, c) -> int:

@@ -7,14 +7,14 @@ reported, never hidden.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
 from .enumeration import PointRegistry
 from .errors import CubicError, DegenerateSample, EqualPoints, LineOnSurface
-from .geometry import Field, normalize, polar_coeffs
+from .geometry import CubicForm, Field, polar_coeffs
 from .planecubic import PlaneCubic, curve_points, group_add
-from .geometry import CubicForm
 from .surface import on_tangent_section, secant_compose
 
 # Skipped draws allowed per requested trial.  Registries of real surfaces skip
@@ -45,7 +45,7 @@ class SuiteResult:
 def _check_size(pts, k: int) -> None:
     if len(pts) < k:
         raise DegenerateSample(
-            f"the suite draws {k} distinct points, the registry has {len(pts)}"
+            f"the suite draws {k} distinct points, there are {len(pts)}"
         )
 
 
@@ -58,128 +58,87 @@ def _skip(res: SuiteResult, trials: int) -> None:
         )
 
 
-def involution_suite(registry: PointRegistry, trials: int, seed: int = 0) -> SuiteResult:
-    """x o (x o y) = y whenever x o y != x; tangency at x is the EqualPoints case."""
-    rng = random.Random(seed)
-    res = SuiteResult("involution")
-    surface = registry.surface
-    pts = registry.points
-    _check_size(pts, 2)
+def _run(name: str, trials: int, draw, check, skip=()) -> SuiteResult:
+    """Count check(*draw()) as a pass or a failure until trials are made.
+
+    A draw whose check raises one of the skip exceptions is skipped.
+    """
+    res = SuiteResult(name)
     while res.passes + res.failures < trials:
-        x, y = rng.sample(pts, 2)
         try:
-            z = secant_compose(surface, x, y)
-        except LineOnSurface:
+            ok = check(*draw())
+        except skip:
             _skip(res, trials)
             continue
-        if z == x:
-            # tangent at x: recomposition must be exactly the multivalued case
-            try:
-                secant_compose(surface, x, z)
-                res.failures += 1
-            except EqualPoints:
-                res.passes += 1
-            continue
-        try:
-            back = secant_compose(surface, x, z)
-        except LineOnSurface:
-            _skip(res, trials)
-            continue
-        if back == y:
+        if ok:
             res.passes += 1
         else:
             res.failures += 1
     return res
+
+
+def involution_suite(registry: PointRegistry, trials: int, seed: int = 0) -> SuiteResult:
+    """x o (x o y) = y, or x o y = x when y lies on the tangent section at x."""
+    surface = registry.surface
+    _check_size(registry.points, 2)
+
+    def check(x, y):
+        z = secant_compose(surface, x, y)
+        return z == x or secant_compose(surface, x, z) == y
+
+    draw = functools.partial(random.Random(seed).sample, registry.points, 2)
+    return _run("involution", trials, draw, check, (LineOnSurface,))
 
 
 def sextuple_suite(registry: PointRegistry, trials: int, seed: int = 0) -> SuiteResult:
     """(t_x t_{x o y} t_y)^2 = identity, tested pointwise on registry samples."""
-    rng = random.Random(seed)
-    res = SuiteResult("sextuple relation")
     surface = registry.surface
-    pts = registry.points
-    _check_size(pts, 3)
-    while res.passes + res.failures < trials:
-        x, y, z = rng.sample(pts, 3)
-        try:
-            w = secant_compose(surface, x, y)
-            cur = z
-            for t in (y, w, x, y, w, x):
-                cur = secant_compose(surface, t, cur)
-        except (EqualPoints, LineOnSurface):
-            _skip(res, trials)
-            continue
-        if cur == z:
-            res.passes += 1
-        else:
-            res.failures += 1
-    return res
+    _check_size(registry.points, 3)
+
+    def check(x, y, z):
+        w = secant_compose(surface, x, y)
+        cur = z
+        for t in (y, w, x, y, w, x):
+            cur = secant_compose(surface, t, cur)
+        return cur == z
+
+    draw = functools.partial(random.Random(seed).sample, registry.points, 3)
+    return _run("sextuple relation", trials, draw, check, (EqualPoints, LineOnSurface))
 
 
 def tangent_consistency_suite(
     registry: PointRegistry, trials: int, seed: int = 0
 ) -> SuiteResult:
     """on_tangent_section(x, y) iff the polar coefficient c1 of (y, x) vanishes."""
-    rng = random.Random(seed)
-    res = SuiteResult("tangent consistency")
     surface = registry.surface
-    pts = registry.points
-    _check_size(pts, 2)
-    for _ in range(trials):
-        x, y = rng.sample(pts, 2)
-        rel = on_tangent_section(surface, x, y)
-        c1 = polar_coeffs(surface.form, y, x)[1]
-        if rel == (c1 == 0):
-            res.passes += 1
-        else:
-            res.failures += 1
-    return res
+    _check_size(registry.points, 2)
+
+    def check(x, y):
+        return on_tangent_section(surface, x, y) == (polar_coeffs(surface.form, y, x)[1] == 0)
+
+    draw = functools.partial(random.Random(seed).sample, registry.points, 2)
+    return _run("tangent consistency", trials, draw, check)
 
 
 def group_law_suite(
     trials: int, seed: int = 0, p: int = 101, diagonal=(1, 1, 1)
 ) -> list[SuiteResult]:
     """Identity, commutativity, associativity of x + y = e o (x o y) on a smooth cubic."""
-    field = Field(p)
-    curve = PlaneCubic(CubicForm.diagonal(diagonal), field)
+    curve = PlaneCubic(CubicForm.diagonal(diagonal), Field(p))
     pts = [x for x in curve_points(curve) if curve.is_smooth_at(x)]
+    _check_size(pts, 4)
     rng = random.Random(seed)
-    identity = SuiteResult("group identity")
-    commut = SuiteResult("group commutativity")
-    assoc = SuiteResult("group associativity")
-    while identity.passes + identity.failures < trials:
-        e, x = rng.sample(pts, 2)
-        try:
-            s = group_add(curve, e, x, e)
-        except CubicError:
-            identity.skips += 1
-            continue
-        if s == x:
-            identity.passes += 1
-        else:
-            identity.failures += 1
-    while commut.passes + commut.failures < trials:
-        e, x, y = rng.sample(pts, 3)
-        try:
-            lhs = group_add(curve, e, x, y)
-            rhs = group_add(curve, e, y, x)
-        except CubicError:
-            commut.skips += 1
-            continue
-        if lhs == rhs:
-            commut.passes += 1
-        else:
-            commut.failures += 1
-    while assoc.passes + assoc.failures < trials:
-        e, x, y, z = rng.sample(pts, 4)
-        try:
-            lhs = group_add(curve, e, group_add(curve, e, x, y), z)
-            rhs = group_add(curve, e, x, group_add(curve, e, y, z))
-        except CubicError:
-            assoc.skips += 1
-            continue
-        if lhs == rhs:
-            assoc.passes += 1
-        else:
-            assoc.failures += 1
-    return [identity, commut, assoc]
+    add = functools.partial(group_add, curve)
+
+    def draw(k):
+        return functools.partial(rng.sample, pts, k)
+
+    return [
+        _run("group identity", trials, draw(2),
+             lambda e, x: add(e, x, e) == x, (CubicError,)),
+        _run("group commutativity", trials, draw(3),
+             lambda e, x, y: add(e, x, y) == add(e, y, x), (CubicError,)),
+        _run("group associativity", trials, draw(4),
+             lambda e, x, y, z: add(e, add(e, x, y), z) == add(e, x, add(e, y, z)),
+             (CubicError,)),
+    ]

@@ -29,6 +29,7 @@ from .errors import (
     InvalidBound,
     NotOnSection,
 )
+from .fixpoint import semi_naive
 from .geometry import (
     CubicForm,
     Field,
@@ -343,31 +344,6 @@ def _q_pairs(step, old: list, new: list) -> set:
     return {step(a, b) for a, b in pairs}
 
 
-def _semi_naive(seeds: set, lines_of, points_of, max_generations: int | None):
-    """Fixpoint of the seeds under joins and meets, each pair taken once.
-
-    lines_of(old, new) and points_of(old, new) take the pairs of old + new
-    that contain a member of new.  Pairs of two old points or two old lines
-    were taken in an earlier round, so each generation equals the one a loop
-    over all pairs finds.
-    """
-    points, new_points = [], list(seeds)
-    lines: list = []
-    known_points, known_lines = set(seeds), set()
-    generation = 0
-    while max_generations is None or generation < max_generations:
-        new_lines = list(lines_of(points, new_points) - known_lines)
-        points += new_points
-        new_points = list(points_of(lines, new_lines) - known_points)
-        lines += new_lines
-        known_lines.update(new_lines)
-        if not new_points:
-            break
-        known_points.update(new_points)
-        generation += 1
-    return known_points, generation
-
-
 def plane_closure(
     field: Field,
     seeds: list[ProjPoint],
@@ -399,25 +375,36 @@ def plane_closure(
     if p is not None:
         if height_cap is not None:
             raise InvalidBound(f"a height cap applies only over Q, not over {field}")
-        seed_codes = _encode(np.array([s.coords for s in seeds], dtype=np.int64) % p, p)
-        step = functools.partial(_cross_codes, p)
-        codes, generation = _semi_naive(set(seed_codes.tolist()), step, step, max_generations)
-        rows = _decode(np.array(list(codes), dtype=np.int64), p).tolist()
-        return {ProjPoint(tuple(r), field) for r in rows}, generation
+        codes = _encode(np.array([s.coords for s in seeds], dtype=np.int64) % p, p)
+        seeds = codes.tolist()
+        lines_of = points_of = functools.partial(_cross_codes, p)
+    else:
+        if height_cap is None:
+            raise DegenerateSeeds("a height cap is required over Q")
+        if height_cap < 1:
+            raise InvalidBound(f"height cap must be >= 1, got {height_cap}")
+        for s in seeds:
+            if max(abs(c) for c in s.coords) > height_cap:
+                raise DegenerateSeeds(f"seed {s} is above the height cap {height_cap}")
+        lines_of = functools.partial(_q_pairs, line_through)
 
-    if height_cap is None:
-        raise DegenerateSeeds("a height cap is required over Q")
-    if height_cap < 1:
-        raise InvalidBound(f"height cap must be >= 1, got {height_cap}")
-    for s in seeds:
-        if max(abs(c) for c in s.coords) > height_cap:
-            raise DegenerateSeeds(f"seed {s} is above the height cap {height_cap}")
+        def points_of(old, new):
+            return {x for x in _q_pairs(meet, old, new)
+                    if max(abs(c) for c in x.coords) <= height_cap}
 
-    def admissible_meets(old, new):
-        return {x for x in _q_pairs(meet, old, new)
-                if max(abs(c) for c in x.coords) <= height_cap}
+    lines: list = []
+    known_lines: set = set()
 
-    return _semi_naive(
-        set(seeds), functools.partial(_q_pairs, line_through), admissible_meets,
-        max_generations,
-    )
+    def derive(old, new, known):
+        # join the point pairs new this round, then meet the line pairs new this round
+        new_lines = list(lines_of(old, new) - known_lines)
+        found = points_of(lines, new_lines)
+        lines.extend(new_lines)
+        known_lines.update(new_lines)
+        return dict.fromkeys(found)
+
+    known, generation = semi_naive(seeds, derive, max_generations)
+    if p is None:
+        return set(known), generation
+    rows = _decode(np.array(list(known), dtype=np.int64), p).tolist()
+    return {ProjPoint(tuple(r), field) for r in rows}, generation

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubicmw import (
     CubicSurface,
@@ -174,6 +175,52 @@ def test_closure_idempotent_and_monotone(table_300):
     assert again == closed
     bigger, _ = _closure(table_300, seeds | {9})
     assert closed <= bigger
+
+
+def naive_closure(table, seeds):
+    """Reference: every generation rescans all table pairs and tangent rows."""
+    reached = set(seeds)
+    parents = {}
+    pair_items = sorted(table.in_vh.items())
+    tangent_items = sorted(table.tangent.items())
+    while True:
+        candidates = {}
+        for (i, j), k in pair_items:
+            if k not in reached and i in reached and j in reached:
+                prev = candidates.get(k)
+                if prev is None or (i, j) < prev:
+                    candidates[k] = (i, j)
+        for i, row in tangent_items:
+            if i not in reached:
+                continue
+            for j in row:
+                if j not in reached:
+                    prev = candidates.get(j)
+                    if prev is None or (i, i) < prev:
+                        candidates[j] = (i, i)
+        if not candidates:
+            return reached, parents
+        for k, pair in candidates.items():
+            reached.add(k)
+            parents[k] = pair
+
+
+@pytest.fixture(scope="module")
+def closure_tables(table_300):
+    # on the Fermat surface at H=24 tangent rows make up most relations
+    return [table_300, build_table(enumerate_points((1, 1, 1, 1), 24))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_closure_matches_naive(closure_tables, data):
+    table = data.draw(st.sampled_from(closure_tables))
+    n = len(table.registry)
+    seeds = data.draw(
+        st.integers(1, n).map(lambda x: set(range(1, x)))
+        | st.sets(st.integers(1, n), max_size=12)
+    )
+    assert _closure(table, seeds) == naive_closure(table, seeds)
 
 
 def test_partition_and_regeneration(table_300, registry_300):

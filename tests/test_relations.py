@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from cubicmw import enumerate_points
+from cubicmw.errors import DegenerateSample
 from cubicmw.relations import (
     group_law_suite,
     involution_suite,
@@ -45,6 +46,13 @@ def test_group_law_counts_are_pinned(p, assoc_skips):
         ("group commutativity", 300, 0, 0),
         ("group associativity", 300, 0, assoc_skips),
     ]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_group_law_on_tiny_field_is_degenerate(p):
+    # F_2 has three points on x^3+y^3+z^3 = 0; over F_3 every point is singular
+    with pytest.raises(DegenerateSample):
+        group_law_suite(5, p=p)
 
 
 def test_suites_give_up_when_every_draw_is_skipped():
