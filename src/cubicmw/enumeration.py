@@ -2,18 +2,36 @@
 
 `enumerate_points` finds every primitive projective solution of
 a1*x1^3 + a2*x2^3 + a3*x3^3 + a4*x4^3 = 0 with |x1|+|x2|+|x3|+|x4| <= H
-by a sort-merge join of the pair values s = a1*u^3 + a2*v^3 against
--(a3*u^3 + a4*v^3), both over |u|+|v| <= H, one value range [lo, hi) at a
-time (Bernstein, Math. Comp. 70, 2001).  Within a row u the value is
-monotone in v, so an exact integer cube root gives each row's slice of a
-range.  x and -x are one point with values s and -s, so only the ranges
-reaching s >= 0 are joined; the one holding 0 is joined whole.  A range
-sorts the bare values of both sides together, reads the shared values
-off adjacent entries and turns only their entries back into (u, v).
-Only one range's entries exist at a time: O(H^2 log H) work in O(H) plus
-about _CHUNK_ENTRIES entries a side.  Equal values fall into one range,
-so no match is lost at an edge.  Pair values must stay below 2^62 (int64
-with a tag bit), else BoundTooLarge.
+by a sort-merge join of the pair values s = a1*u^3 + a2*v^3 (left)
+against -(a3*u^3 + a4*v^3) (right), both over |u|+|v| <= H, one value
+range [lo, hi) at a time (Bernstein, Math. Comp. 70, 2001).
+
+- Rows: within a row u the value is monotone in v, so an exact integer
+  cube root gives each row's first entry at or above an edge, and a
+  range's entries are the slices between its two edges.
+- Keys: a range with n entries packs each into one int64,
+  ((s - lo) << (ib + 1)) | (side << ib) | index, where ib = bitlen(n),
+  side is 0 left and 1 right, and index counts the side's entries row by
+  row.  One in-place sort puts equal values together, left before right;
+  a shared value is a left key followed by a right key whose bits above
+  ib differ only in the side bit.  Two searchsorted calls of those values
+  give their runs, and each index maps back to (u, v) through the rows'
+  cumulative entry counts.
+- Bit budget: the key fits when bitlen(hi - lo) + bitlen(n) + 1 <= 62.
+  A range that does not is joined in halves of its width until it does,
+  so every input whose pair values stay below 2^62 (else BoundTooLarge)
+  enumerates.
+- Walk: x and -x are one point with values s and -s, so only the ranges
+  reaching s >= 0 are joined; the one holding 0 is joined whole.  Ranges
+  are walked in increasing order, so a range's upper row edges are the
+  next one's lower edges: one cube root per row and side per range.
+  Equal values fall into one range, so no match is lost at an edge.
+- Threads: each worker walks one contiguous block of ranges, and there
+  are never more workers than ranges; the points found are sorted at the
+  end, so the result does not depend on the thread count.
+
+Only one range's keys exist at a time per worker: O(H^2 log H) work in
+O(H) plus about 2 * _CHUNK_ENTRIES keys.
 `brute_force_oracle` is an independent pure-Python exhaustive loop used to
 cross-check it in tests.
 """
@@ -103,38 +121,118 @@ def _expand(start, count):
     return owner, np.arange(count.sum()) + (start - offset)[owner]
 
 
-def _pair_chunk(a: int, b: int, bound: int, lo: int, hi: int):
-    """Every a*u^3 + b*v^3 in [lo, hi) with |u|+|v| <= bound, by row, and (u, v) by index.
+class _Side:
+    """The pair values a*u^3 + b*v^3 over |u| + |v| <= bound, one row per u.
 
-    With w = sign(b)*v each row u is |b|*w^3 + a*u^3, increasing in w, so its
-    entries in [lo, hi) are the w from ceil_cbrt((lo - a*u^3)/|b|) up to the
-    same bound for hi; the quotients are clipped to the row's range first.
+    With w = sign(b)*v, row u is |b|*w^3 + a*u^3, increasing in w, so the
+    entries of a value range [lo, hi) in a row are the w from edge(lo) up to
+    edge(hi), and a range's stop edges are the next range's first edges.
     """
-    u = np.arange(-bound, bound + 1, dtype=np.int64)
-    m = bound - np.abs(u)
-    c = a * u**3
-    cap = (bound + 1) ** 3
-    edge = np.array([[lo], [hi]], dtype=np.int64)
-    first, stop = _ceil_cbrt(np.clip((edge - c + abs(b) - 1) // abs(b), -cap, cap))
-    first = np.maximum(first, -m)
-    row, w = _expand(first, np.maximum(np.minimum(stop, m + 1) - first, 0))
-    return c[row] + abs(b) * (w * w * w), lambda i: (u[row[i]], w[i] if b > 0 else -w[i])
+
+    def __init__(self, a: int, b: int, bound: int):
+        self.bound = bound
+        self.u = np.arange(-bound, bound + 1, dtype=np.int64)
+        self.m = bound - np.abs(self.u)
+        self.c = a * self.u**3
+        self.b = abs(b)
+        self.sign = 1 if b > 0 else -1
+        # each row's lowest and highest value, at w = -m and w = m
+        self.low = self.c - self.b * self.m**3
+        self.high = self.c + self.b * self.m**3
+
+    def edge(self, x: int):
+        """Per row, the first w in [-m, m + 1] whose value is >= x.
+
+        Only rows whose values straddle x need a cube root; there
+        ceil((x - c)/|b|) lies in (-m^3, m^3].
+        """
+        w = np.where(x <= self.low, -self.m, self.m + 1)
+        row = np.flatnonzero((self.low < x) & (x <= self.high))
+        w[row] = _ceil_cbrt((x - self.c[row] + self.b - 1) // self.b)
+        return w
+
+    def pack(self, key, first, stop, lo: int, shift: int, tag: int):
+        """key[i] = ((s - lo) << shift) | tag | i for the i-th entry s, row by row."""
+        row = np.flatnonzero(stop > first)
+        f, k = first[row], (stop - first)[row]
+        # w steps by one within a row and jumps to the first w of the next
+        key.fill(1)
+        key[0] = f[0]
+        key[np.cumsum(k[:-1])] = f[1:] - f[:-1] - k[:-1] + 1
+        np.cumsum(key, out=key)
+        np.power(key, 3, out=key)
+        key *= self.b
+        key += np.repeat(self.c[row] - lo, k)
+        key <<= shift
+        key |= np.arange(tag, tag + len(key))
+
+    def pairs(self, first, stop, index):
+        """(u, v) of the entries at index in the row-by-row order of pack."""
+        count = stop - first
+        end = np.cumsum(count)
+        row = np.searchsorted(end, index, side="right")
+        w = first[row] + index - (end - count)[row]
+        return self.u[row], self.sign * w
 
 
-def _shared_values(left, right):
-    """The sorted values on both sides: as 2*s and 2*s + 1 they sort adjacent."""
-    tagged = np.concatenate([left, right]) << 1
-    tagged[len(left):] |= 1
-    tagged.sort()
-    i = np.flatnonzero(np.diff(tagged) == 1)
-    return tagged[i[tagged[i] & 1 == 0]] >> 1
+def _join_range(sides, lo: int, hi: int, first, stop) -> set[tuple[int, int, int, int]]:
+    """The primitive points of height <= bound whose two sides share a value in [lo, hi).
+
+    first and stop are each side's row edges at lo and hi.  One sort of the
+    packed keys puts equal values together, left entries first, so a shared
+    value is a left key followed by a right key with equal bits above ib.
+    """
+    n = [int((b - a).sum()) for a, b in zip(first, stop)]
+    if not all(n):
+        return set()
+    ib = sum(n).bit_length()
+    shift = ib + 1
+    key = np.empty(sum(n), dtype=np.int64)
+    sides[0].pack(key[: n[0]], first[0], stop[0], lo, shift, 0)
+    sides[1].pack(key[n[0] :], first[1], stop[1], lo, shift, 1 << ib)
+    key.sort()
+    step = key[1:] ^ key[:-1]
+    step >>= ib
+    at = np.flatnonzero(step == 1) + 1  # the first right key of each shared value
+    del step
+    if not len(at):
+        return set()
+    value = key[at] >> shift << shift
+    start = np.searchsorted(key, value)
+    end = np.searchsorted(key, value + (1 << shift))
+    # every right key of a shared value meets the run of left keys before it
+    g, right = _expand(at, end - at)
+    g, left = _expand(start[g], (at - start)[g])
+    low = (1 << ib) - 1
+    quad = np.column_stack(
+        sides[0].pairs(first[0], stop[0], key[left] & low)
+        + sides[1].pairs(first[1], stop[1], key[right[g]] & low)
+    )
+    keep = (np.abs(quad).sum(axis=1) <= sides[0].bound) & (np.gcd.reduce(quad, axis=1) == 1)
+    return set(map(tuple, quad[keep].tolist()))
 
 
-def _lookup(values, shared):
-    """Indices of the entries of values in the sorted array shared, and where."""
-    at = np.minimum(np.searchsorted(shared, values), len(shared) - 1)
-    hit = np.flatnonzero(shared[at] == values)
-    return hit, at[hit]
+def _walk(sides, block) -> set[tuple[int, int, int, int]]:
+    """The points of the contiguous ranges of block, joined in increasing order.
+
+    A range whose keys would not fit, bitlen(hi - lo) + bitlen(n) + 1 > 62
+    for its n entries, is joined in halves of its width until they do.
+    """
+    lo = block[0][0]
+    first = [side.edge(lo) for side in sides]
+    found = set()
+    for _, hi in block:
+        while lo < hi:
+            mid = hi
+            while True:
+                stop = [side.edge(mid) for side in sides]
+                n = sum(int((b - a).sum()) for a, b in zip(first, stop))
+                if (mid - lo).bit_length() + n.bit_length() + 1 <= 62:
+                    break
+                mid = lo + (mid - lo) // 2
+            found |= _join_range(sides, lo, mid, first, stop)
+            lo, first = mid, stop
+    return found
 
 
 def enumerate_points(
@@ -142,8 +240,8 @@ def enumerate_points(
 ) -> PointRegistry:
     """All primitive projective points of height <= bound on the surface.
 
-    The result is independent of `threads`; workers only take value-range
-    chunks of the join in turn.
+    The result is independent of `threads`; each worker walks one
+    contiguous block of value ranges.
     """
     surface = _diagonal_surface(surface)
     a1, a2, a3, a4 = _diagonal_coeffs(surface)
@@ -151,23 +249,7 @@ def enumerate_points(
         raise InvalidBound(f"bound must be >= 1, got {bound}")
     if max(abs(a1) + abs(a2), abs(a3) + abs(a4)) * bound**3 >= 2**62:
         raise BoundTooLarge(f"pair values reach 2^62 at height {bound}")
-
-    def join(lo: int, hi: int) -> set[tuple[int, int, int, int]]:
-        lval, lpair = _pair_chunk(a1, a2, bound, lo, hi)
-        rval, rpair = _pair_chunk(-a3, -a4, bound, lo, hi)
-        shared = _shared_values(lval, rval)
-        if not len(shared):
-            return set()
-        li, lg = _lookup(lval, shared)
-        ri, rg = _lookup(rval, shared)
-        # pair each right entry with the run of left entries of its value
-        li = li[np.argsort(lg)]
-        count = np.bincount(lg, minlength=len(shared))
-        k, run = _expand((np.cumsum(count) - count)[rg], count[rg])
-        li, ri = li[run], ri[k]
-        quad = np.column_stack(lpair(li) + rpair(ri))
-        keep = (np.abs(quad).sum(axis=1) <= bound) & (np.gcd.reduce(quad, axis=1) == 1)
-        return set(map(tuple, quad[keep].tolist()))
+    sides = (_Side(a1, a2, bound), _Side(-a3, -a4, bound))
 
     # The sides only meet where their value ranges overlap.  Edges evenly
     # spaced in cube-root scale give chunks within a small factor of the mean.
@@ -177,14 +259,15 @@ def enumerate_points(
     s = np.linspace(-1.0, 1.0, chunks + 1) * np.cbrt(float(top))
     edges = [-top] + sorted(set(int(e) for e in s[1:-1] ** 3)) + [top + 1]
     ranges = [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > 0]
-    threads = max(1, int(threads))
-    if threads == 1:
-        results = [join(*r) for r in ranges]
+    workers = min(max(1, int(threads)), len(ranges))
+    cut = [len(ranges) * i // workers for i in range(workers + 1)]
+    blocks = [ranges[i:j] for i, j in zip(cut[:-1], cut[1:])]
+    if workers == 1:  # in this thread: a pool thread's own malloc arena shows in peak RSS
+        results = [_walk(sides, blocks[0])]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda r: join(*r), ranges))
-    vectors = set().union(*results)
-    return _sorted_registry(surface, bound, vectors)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(lambda block: _walk(sides, block), blocks))
+    return _sorted_registry(surface, bound, set().union(*results))
 
 
 def _icbrt(n: int) -> int | None:

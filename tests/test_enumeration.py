@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,17 +117,17 @@ def test_join_matches_oracle(coeff, bound):
 
 
 def test_tiny_chunks_match_oracle(monkeypatch):
-    pair_chunk = enumeration._pair_chunk
+    join_range = enumeration._join_range
     # 2*24*25 + 1 = 1201 pair entries a side: 172 ranges of 7, or 5 of 300
     for entries, zero_is_edge in ((7, True), (300, False)):
         ranges = set()
 
-        def spy(a, b, bound, lo, hi):
+        def spy(sides, lo, hi, first, stop):
             ranges.add((lo, hi))
-            return pair_chunk(a, b, bound, lo, hi)
+            return join_range(sides, lo, hi, first, stop)
 
         monkeypatch.setattr(enumeration, "_CHUNK_ENTRIES", entries)
-        monkeypatch.setattr(enumeration, "_pair_chunk", spy)
+        monkeypatch.setattr(enumeration, "_join_range", spy)
         for coeff in (ZAGIER, (1, 1, 1, 1), (1, -1, 2, -2)):
             assert coords(enumerate_points(coeff, 24, threads=3)) == coords(
                 brute_force_oracle(coeff, 24)
@@ -139,6 +140,99 @@ def test_tiny_chunks_match_oracle(monkeypatch):
             assert 0 in {lo for lo, _ in ranges}
         else:
             assert any(lo < 0 < hi for lo, hi in ranges)
+
+
+@pytest.mark.parametrize("entries, threads", [(7, (1, 2, 3, 7)), (300, (1, 4, 6))])
+def test_thread_blocks_cover_the_ranges(monkeypatch, entries, threads):
+    # at 300 entries only 3 of the 5 ranges reach s >= 0: 4 and 6 threads
+    # exceed them, and each worker still gets a block of its own
+    walk = enumeration._walk
+    monkeypatch.setattr(enumeration, "_CHUNK_ENTRIES", entries)
+    results = []
+    for t in threads:
+        blocks = []
+
+        def spy(sides, block):
+            blocks.append(block)
+            return walk(sides, block)
+
+        monkeypatch.setattr(enumeration, "_walk", spy)
+        results.append(coords(enumerate_points((1, -1, 2, -2), 24, threads=t)))
+        blocks.sort()
+        ranges = [r for block in blocks for r in block]
+        assert all(blocks) and len(blocks) == min(t, len(ranges))
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        assert ranges[-1][1] == 24**3 + 1 and ranges[0][0] <= 0
+    assert results == [coords(brute_force_oracle((1, -1, 2, -2), 24))] * len(threads)
+
+
+@pytest.mark.parametrize("bound", [3, 6])
+def test_wide_value_range_is_split_to_fit(monkeypatch, bound):
+    # values up to 2^50 * 216 in one range: its packed key needs 59 bits of
+    # value, 8 of index and a tag bit, so the range is joined in pieces
+    join_range = enumeration._join_range
+    budget = []
+
+    def spy(sides, lo, hi, first, stop):
+        n = sum(int((b - a).sum()) for a, b in zip(first, stop))
+        budget.append((hi - lo).bit_length() + n.bit_length() + 1)
+        return join_range(sides, lo, hi, first, stop)
+
+    monkeypatch.setattr(enumeration, "_join_range", spy)
+    coeff = (2**50, 1, -1, -(2**50))
+    assert coords(enumerate_points(coeff, bound)) == coords(brute_force_oracle(coeff, bound))
+    assert len(budget) > 1 and max(budget) <= 62
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (-3, 4), (2, -1), (5, -7)])
+def test_row_edges_match_a_scan(a, b):
+    # edge(x) in row u is the first w in [-m, m] with |b|*w^3 + a*u^3 >= x,
+    # or m + 1; probe every value a row takes and its neighbours
+    bound = 9
+    side = enumeration._Side(a, b, bound)
+    span = range(-bound, bound + 1)
+    values = {a * u**3 + abs(b) * w**3 for u in span for w in span}
+    for x in sorted(values | {v + 1 for v in values} | {v - 1 for v in values}):
+        scan = [
+            next((w for w in range(-m, m + 1) if abs(b) * w**3 + a * u**3 >= x), m + 1)
+            for u, m in zip(span, side.m.tolist())
+        ]
+        assert side.edge(x).tolist() == scan
+
+
+big = st.integers(-(2**55), 2**55).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(big, big, big, big),
+        st.tuples(big, big).map(lambda t: (t[0], t[1], -t[0], -t[1])),
+        st.tuples(big, big).map(lambda t: (t[0], -t[0], t[1], -t[1])),
+    ),
+    st.integers(1, 8),
+)
+def test_large_coefficients_match_oracle(coeff, bound):
+    # every input below the 2^62 check enumerates, whatever the key budget
+    a1, a2, a3, a4 = map(abs, coeff)
+    if max(a1 + a2, a3 + a4) * bound**3 >= 2**62:
+        with pytest.raises(BoundTooLarge):
+            enumerate_points(coeff, bound)
+    else:
+        assert coords(enumerate_points(coeff, bound)) == coords(
+            brute_force_oracle(coeff, bound)
+        )
+
+
+def test_join_memory_stays_within_a_few_ranges():
+    # numpy buffers are traced: a full-length temporary per range shows here
+    tracemalloc.start()
+    try:
+        enumerate_points(ZAGIER, 2200, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.4e6
 
 
 def test_primitive_point_kept_beside_its_multiples(monkeypatch):
