@@ -17,7 +17,7 @@ import numpy as np
 from .enumeration import PointRegistry
 from .errors import EmptyRegistry, EqualPoints, LineOnSurface, ParseError
 from .fixpoint import semi_naive
-from .geometry import gradient
+from .geometry import gradient, primitive_rows
 from .surface import height, on_tangent_section, secant_compose
 
 OP = "∘"  # the composition symbol used in rendered schemes
@@ -101,9 +101,7 @@ def build_table(registry: PointRegistry) -> CompositionTable:
         raw = b[defined, None] * P[i] - a[defined, None] * P[js]
         g = np.gcd.reduce(raw, axis=1)
         low = np.abs(raw).sum(axis=1) // g <= cap
-        z, js = raw[low] // g[low, None], js[low]
-        lead = z[np.arange(len(z)), (z != 0).argmax(axis=1)]
-        z[lead < 0] *= -1
+        z, js = primitive_rows(raw[low], g[low]), js[low]
         for j, key in zip(js.tolist(), z.tolist()):
             k = index.get(tuple(key))
             if k is not None:

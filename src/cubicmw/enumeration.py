@@ -175,14 +175,14 @@ class _Side:
         return self.u[row], self.sign * w
 
 
-def _join_range(sides, lo: int, hi: int, first, stop) -> set[tuple[int, int, int, int]]:
+def _join_range(sides, lo: int, hi: int, first, stop, n) -> set[tuple[int, int, int, int]]:
     """The primitive points of height <= bound whose two sides share a value in [lo, hi).
 
-    first and stop are each side's row edges at lo and hi.  One sort of the
-    packed keys puts equal values together, left entries first, so a shared
-    value is a left key followed by a right key with equal bits above ib.
+    first and stop are each side's row edges at lo and hi, and n each side's
+    number of entries between them.  One sort of the packed keys puts equal
+    values together, left entries first, so a shared value is a left key
+    followed by a right key with equal bits above ib.
     """
-    n = [int((b - a).sum()) for a, b in zip(first, stop)]
     if not all(n):
         return set()
     ib = sum(n).bit_length()
@@ -226,11 +226,11 @@ def _walk(sides, block) -> set[tuple[int, int, int, int]]:
             mid = hi
             while True:
                 stop = [side.edge(mid) for side in sides]
-                n = sum(int((b - a).sum()) for a, b in zip(first, stop))
-                if (mid - lo).bit_length() + n.bit_length() + 1 <= 62:
+                n = [int((b - a).sum()) for a, b in zip(first, stop)]
+                if (mid - lo).bit_length() + sum(n).bit_length() + 1 <= 62:
                     break
                 mid = lo + (mid - lo) // 2
-            found |= _join_range(sides, lo, mid, first, stop)
+            found |= _join_range(sides, lo, mid, first, stop, n)
             lo, first = mid, stop
     return found
 

@@ -2,7 +2,10 @@
 
 Projective vectors (points, and by duality lines and planes) and integer
 cubic forms with evaluation, gradient and polarization.  All arithmetic is
-exact; nothing here uses floating point.
+exact; nothing here uses floating point.  The gradient and the polar
+expansion also run on batches of points over Q, given as rows of numpy
+object arrays of Python ints: their arithmetic is elementwise, so one loop
+serves a point and a batch.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from operator import mul
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     CoincidentLines,
@@ -212,16 +217,45 @@ def eval_form(form: CubicForm, x: ProjPoint) -> int:
     return total if x.field.p is None else total % x.field.p
 
 
-def gradient(form: CubicForm, x: ProjPoint) -> tuple[int, ...]:
-    """Values of the partial derivatives at x; satisfies Euler's identity."""
-    _check_dims(form, x)
-    v = x.coords
+def _partials(form: CubicForm, v) -> list:
+    """grad F at v, whose entries are ints or equal-length columns."""
     out = [0] * form.dim
     for t, c, a, b in form._grad_terms:
         out[t] += c * v[a] * v[b]
+    return out
+
+
+def gradient(form: CubicForm, x: ProjPoint) -> tuple[int, ...]:
+    """Values of the partial derivatives at x; satisfies Euler's identity."""
+    _check_dims(form, x)
+    out = _partials(form, x.coords)
     if x.field.p is not None:
         out = [c % x.field.p for c in out]
     return tuple(out)
+
+
+def gradient_rows(form: CubicForm, X: np.ndarray) -> np.ndarray:
+    """The gradient at each row of X, points over Q, row by row."""
+    return np.column_stack(np.broadcast_arrays(*_partials(form, X.T)))
+
+
+def _polar(form: CubicForm, x, y) -> list:
+    """(c0,c1,c2,c3) of F(x + t*y); the entries of x, y are ints or columns."""
+    c = [0, 0, 0, 0]
+    for expo, a in form.coeffs.items():
+        # multiply out prod (x_i + t y_i)^{e_i}, total degree 3
+        poly = [a, 0, 0, 0]
+        for xi, yi, e in zip(x, y, expo):
+            for _ in range(e):
+                poly = [
+                    xi * poly[0],
+                    xi * poly[1] + yi * poly[0],
+                    xi * poly[2] + yi * poly[1],
+                    xi * poly[3] + yi * poly[2],
+                ]
+        for k in range(4):
+            c[k] += poly[k]
+    return c
 
 
 def polar_coeffs(
@@ -235,20 +269,23 @@ def polar_coeffs(
     _check_dims(form, x, y)
     if x.field != y.field:
         raise DimensionMismatch("points over different fields")
-    c = [0, 0, 0, 0]
-    for expo, a in form.coeffs.items():
-        # multiply out prod (x_i + t y_i)^{e_i}, total degree 3
-        poly = [a, 0, 0, 0]
-        for xi, yi, e in zip(x.coords, y.coords, expo):
-            for _ in range(e):
-                poly = [
-                    xi * poly[0],
-                    xi * poly[1] + yi * poly[0],
-                    xi * poly[2] + yi * poly[1],
-                    xi * poly[3] + yi * poly[2],
-                ]
-        for k in range(4):
-            c[k] += poly[k]
+    c = _polar(form, x.coords, y.coords)
     if x.field.p is not None:
         c = [v % x.field.p for v in c]
     return tuple(c)
+
+
+def polar_rows(form: CubicForm, X: np.ndarray, Y: np.ndarray) -> list[np.ndarray]:
+    """The columns c0, c1, c2, c3 of `polar_coeffs` for each row pair of X, Y over Q."""
+    return _polar(form, X.T, Y.T)
+
+
+def primitive_rows(raw: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Each row of raw divided by its gcd g, first nonzero entry positive.
+
+    This is `normalize` over Q, row by row; a zero row, given g = 1, stays zero.
+    """
+    z = raw // g[:, None]
+    lead = z[np.arange(len(z)), (z != 0).argmax(axis=1)]
+    z[lead < 0] *= -1
+    return z

@@ -3,6 +3,14 @@
 Each suite draws seeded random configurations, skips the ones where some
 intermediate composition is undefined, and counts failures.  Skips are
 reported, never hidden.
+
+The registry suites check their draws in batches of at most `_BATCH`.  A
+batch stacks the drawn points into numpy object arrays of Python ints, so
+the arithmetic stays exact, and composes them row by row (`compose_rows`).
+A batch never holds more draws than trials are missing, and its outcomes
+are counted in draw order, so every count, and the draw at which the skip
+budget runs out, is the same as when each draw is checked on its own.
+The group law checks one draw at a time through the same loop.
 """
 
 from __future__ import annotations
@@ -11,11 +19,18 @@ import functools
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .enumeration import PointRegistry
-from .errors import CubicError, DegenerateSample, EqualPoints, LineOnSurface
-from .geometry import CubicForm, Field, polar_coeffs
+from .errors import CubicError, DegenerateSample
+from .geometry import CubicForm, Field, gradient_rows, polar_rows
 from .planecubic import PlaneCubic, curve_points, group_add
-from .surface import on_tangent_section, secant_compose
+# bench/workload.py counts calls of relations.secant_compose; the batched
+# compositions of the registry suites are not such calls
+from .surface import compose_rows, secant_compose  # noqa: F401
+
+# Draws checked at once; it bounds the size, and so the memory, of a batch's arrays.
+_BATCH = 128
 
 # Skipped draws allowed per requested trial.  Registries of real surfaces skip
 # fewer than 4 draws per trial (the most: the Fermat surface at H=10 in the
@@ -58,65 +73,107 @@ def _skip(res: SuiteResult, trials: int) -> None:
         )
 
 
-def _run(name: str, trials: int, draw, check, skip=()) -> SuiteResult:
-    """Count check(*draw()) as a pass or a failure until trials are made.
+def _run(name: str, trials: int, draw, check) -> SuiteResult:
+    """Count the outcomes of check on batches of draws until trials are made.
 
-    A draw whose check raises one of the skip exceptions is skipped.
+    check maps a list of draws to one outcome per draw, in order: True for
+    a pass, False for a failure and None for a skip.  A round draws no more
+    than the trials still missing, so the rng gives the draws a loop over
+    single draws would get.
     """
     res = SuiteResult(name)
-    while res.passes + res.failures < trials:
-        try:
-            ok = check(*draw())
-        except skip:
-            _skip(res, trials)
-            continue
-        if ok:
-            res.passes += 1
-        else:
-            res.failures += 1
+    while (done := res.passes + res.failures) < trials:
+        batch = [draw() for _ in range(min(_BATCH, trials - done))]
+        for outcome in check(batch):
+            if outcome is None:
+                _skip(res, trials)
+            elif outcome:
+                res.passes += 1
+            else:
+                res.failures += 1
     return res
+
+
+def _per_draw(check):
+    """The batch check of check(*draw); a draw whose check raises CubicError is skipped."""
+
+    def batch(draws):
+        for args in draws:
+            try:
+                yield check(*args)
+            except CubicError:
+                yield None
+
+    return batch
+
+
+def _outcomes(defined, holds) -> list:
+    """None where a draw's compositions are undefined, else whether it holds."""
+    return np.where(defined, holds, None).tolist()
+
+
+def _registry_draws(registry: PointRegistry, k: int, seed: int):
+    """The registry's coordinates as an object array, and a draw of k row indices.
+
+    A draw holds the indices `random.sample` picks from the points.
+    """
+    _check_size(registry.points, k)
+    P = np.array([x.coords for x in registry.points], dtype=object)
+    return P, functools.partial(random.Random(seed).sample, range(len(P)), k)
 
 
 def involution_suite(registry: PointRegistry, trials: int, seed: int = 0) -> SuiteResult:
     """x o (x o y) = y, or x o y = x when y lies on the tangent section at x."""
-    surface = registry.surface
-    _check_size(registry.points, 2)
+    form = registry.surface.form
+    P, draw = _registry_draws(registry, 2, seed)
 
-    def check(x, y):
-        z = secant_compose(surface, x, y)
-        return z == x or secant_compose(surface, x, z) == y
+    def check(draws):
+        X, Y = P[np.array(draws).T]
+        GX = gradient_rows(form, X)
+        Z, defined = compose_rows(form, X, Y, GX)
+        fixed = (Z == X).all(axis=1)
+        back, ok = compose_rows(form, X, Z, GX)
+        # as in `z == x or x o z == y`: x o z counts only where z != x
+        return _outcomes(defined & (fixed | ok), fixed | (back == Y).all(axis=1))
 
-    draw = functools.partial(random.Random(seed).sample, registry.points, 2)
-    return _run("involution", trials, draw, check, (LineOnSurface,))
+    return _run("involution", trials, draw, check)
 
 
 def sextuple_suite(registry: PointRegistry, trials: int, seed: int = 0) -> SuiteResult:
     """(t_x t_{x o y} t_y)^2 = identity, tested pointwise on registry samples."""
-    surface = registry.surface
-    _check_size(registry.points, 3)
+    form = registry.surface.form
+    P, draw = _registry_draws(registry, 3, seed)
 
-    def check(x, y, z):
-        w = secant_compose(surface, x, y)
-        cur = z
-        for t in (y, w, x, y, w, x):
-            cur = secant_compose(surface, t, cur)
-        return cur == z
+    def check(draws):
+        X, Y, Z = P[np.array(draws).T]
+        GX, GY = gradient_rows(form, X), gradient_rows(form, Y)
+        W, defined = compose_rows(form, X, Y, GX, GY)
+        GW = gradient_rows(form, W)
+        cur = Z
+        for T, GT in ((Y, GY), (W, GW), (X, GX)) * 2:
+            cur, ok = compose_rows(form, T, cur, GT)
+            defined &= ok
+        return _outcomes(defined, (cur == Z).all(axis=1))
 
-    draw = functools.partial(random.Random(seed).sample, registry.points, 3)
-    return _run("sextuple relation", trials, draw, check, (EqualPoints, LineOnSurface))
+    return _run("sextuple relation", trials, draw, check)
 
 
 def tangent_consistency_suite(
     registry: PointRegistry, trials: int, seed: int = 0
 ) -> SuiteResult:
-    """on_tangent_section(x, y) iff the polar coefficient c1 of (y, x) vanishes."""
-    surface = registry.surface
-    _check_size(registry.points, 2)
+    """x on the tangent section at y iff the polar coefficient c1 of (y, x) vanishes.
 
-    def check(x, y):
-        return on_tangent_section(surface, x, y) == (polar_coeffs(surface.form, y, x)[1] == 0)
+    The section is grad F(y)·x = 0, as in `on_tangent_section`; the polar
+    expansion does not use the gradient.
+    """
+    form = registry.surface.form
+    P, draw = _registry_draws(registry, 2, seed)
 
-    draw = functools.partial(random.Random(seed).sample, registry.points, 2)
+    def check(draws):
+        X, Y = P[np.array(draws).T]
+        on_section = (gradient_rows(form, Y) * X).sum(axis=1) == 0
+        return (on_section == (polar_rows(form, Y, X)[1] == 0)).tolist()
+
     return _run("tangent consistency", trials, draw, check)
 
 
@@ -135,10 +192,9 @@ def group_law_suite(
 
     return [
         _run("group identity", trials, draw(2),
-             lambda e, x: add(e, x, e) == x, (CubicError,)),
+             _per_draw(lambda e, x: add(e, x, e) == x)),
         _run("group commutativity", trials, draw(3),
-             lambda e, x, y: add(e, x, y) == add(e, y, x), (CubicError,)),
+             _per_draw(lambda e, x, y: add(e, x, y) == add(e, y, x))),
         _run("group associativity", trials, draw(4),
-             lambda e, x, y, z: add(e, add(e, x, y), z) == add(e, x, add(e, y, z)),
-             (CubicError,)),
+             _per_draw(lambda e, x, y, z: add(e, add(e, x, y), z) == add(e, x, add(e, y, z)))),
     ]

@@ -3,15 +3,27 @@
 x o y is the third intersection of the line through x, y with the surface;
 it is partial (undefined when the line lies on the surface) and multivalued
 at x = y, where the value set is the tangent-plane section.  The latter is
-exposed as the binary relation `on_tangent_section`.
+exposed as the binary relation `on_tangent_section`.  `compose_rows` is
+the composition of a batch of point pairs over Q at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EqualPoints, InvalidCoefficients, LineOnSurface, NotOnSurface
-from .geometry import CubicForm, ProjPoint, dot, eval_form, gradient, normalize
+from .geometry import (
+    CubicForm,
+    ProjPoint,
+    dot,
+    eval_form,
+    gradient,
+    gradient_rows,
+    normalize,
+    primitive_rows,
+)
 
 
 def height(x: ProjPoint) -> int:
@@ -64,6 +76,26 @@ def secant_compose(surface: CubicSurface, x: ProjPoint, y: ProjPoint) -> ProjPoi
         raise LineOnSurface(f"line through {x} and {y} lies on the surface")
     raw = [c2 * a - c1 * b for a, b in zip(x.coords, y.coords)]
     return normalize(raw, x.field)
+
+
+def compose_rows(form: CubicForm, X, Y, GX=None, GY=None) -> tuple[np.ndarray, np.ndarray]:
+    """`secant_compose` of each row pair of X and Y, normalized points over Q.
+
+    X and Y are 2-d object arrays of Python ints, so no entry can wrap; GX
+    and GY are their rows' gradients when already known.  Returns (Z, ok):
+    ok is False exactly where `secant_compose` raises, and Z's row is zero
+    there.  Both cases make c2·x − c1·y the zero vector, and only they do:
+    distinct normalized points are independent, and at x = y, c1 = c2.
+    """
+    GX = gradient_rows(form, X) if GX is None else GX
+    GY = gradient_rows(form, Y) if GY is None else GY
+    c1 = (GX * Y).sum(axis=1)
+    c2 = (GY * X).sum(axis=1)
+    raw = c2[:, None] * X - c1[:, None] * Y
+    g = np.gcd.reduce(raw, axis=1)
+    ok = g != 0
+    g[~ok] = 1
+    return primitive_rows(raw, g), ok
 
 
 def on_tangent_section(surface: CubicSurface, x: ProjPoint, y: ProjPoint) -> bool:

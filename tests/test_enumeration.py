@@ -122,9 +122,9 @@ def test_tiny_chunks_match_oracle(monkeypatch):
     for entries, zero_is_edge in ((7, True), (300, False)):
         ranges = set()
 
-        def spy(sides, lo, hi, first, stop):
+        def spy(sides, lo, hi, first, stop, n):
             ranges.add((lo, hi))
-            return join_range(sides, lo, hi, first, stop)
+            return join_range(sides, lo, hi, first, stop, n)
 
         monkeypatch.setattr(enumeration, "_CHUNK_ENTRIES", entries)
         monkeypatch.setattr(enumeration, "_join_range", spy)
@@ -173,10 +173,11 @@ def test_wide_value_range_is_split_to_fit(monkeypatch, bound):
     join_range = enumeration._join_range
     budget = []
 
-    def spy(sides, lo, hi, first, stop):
-        n = sum(int((b - a).sum()) for a, b in zip(first, stop))
-        budget.append((hi - lo).bit_length() + n.bit_length() + 1)
-        return join_range(sides, lo, hi, first, stop)
+    def spy(sides, lo, hi, first, stop, n):
+        # the walk passes each side's entry count between the edges
+        assert n == [int((b - a).sum()) for a, b in zip(first, stop)]
+        budget.append((hi - lo).bit_length() + sum(n).bit_length() + 1)
+        return join_range(sides, lo, hi, first, stop, n)
 
     monkeypatch.setattr(enumeration, "_join_range", spy)
     coeff = (2**50, 1, -1, -(2**50))

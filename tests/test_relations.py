@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from cubicmw import enumerate_points
+from cubicmw import enumerate_points, relations
 from cubicmw.errors import DegenerateSample
 from cubicmw.relations import (
     group_law_suite,
@@ -14,6 +14,9 @@ from cubicmw.relations import (
 )
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
+SUITES = (involution_suite, sextuple_suite, tangent_consistency_suite)
 
 
 def counts(results):
@@ -30,11 +33,24 @@ def counts(results):
     ],
     ids=["zagier-200", "fermat-30"],
 )
-def test_registry_suite_counts_are_pinned(coeffs, height, expected):
-    # the skip counts pin how EqualPoints and LineOnSurface draws are classified
+def test_registry_suite_counts_are_pinned(monkeypatch, coeffs, height, expected):
+    # the skip counts pin how EqualPoints and LineOnSurface draws are classified;
+    # they do not depend on the batch: 7 ends inside the 2000 trials and takes
+    # skips anywhere in a batch, and 1 checks one draw at a time
     reg = enumerate_points(coeffs, height)
-    suites = (involution_suite, sextuple_suite, tangent_consistency_suite)
-    assert counts(s(reg, 2000, 11) for s in suites) == expected
+    for batch in (relations._BATCH, 7, 1):
+        monkeypatch.setattr(relations, "_BATCH", batch)
+        assert counts(s(reg, 2000, 11) for s in SUITES) == expected, batch
+
+
+@pytest.mark.parametrize("seed, sextuple_skips", [(1, 36), (7, 38)])
+def test_benchmark_configuration_counts_are_pinned(registry_1100, seed, sextuple_skips):
+    # the identities benchmark workload: the H=1100 registry, 10^4 trials
+    assert counts(s(registry_1100, 10_000, seed) for s in SUITES) == [
+        ("involution", 10_000, 0, 0),
+        ("sextuple relation", 10_000, 0, sextuple_skips),
+        ("tangent consistency", 10_000, 0, 0),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -57,19 +73,22 @@ def test_group_law_on_tiny_field_is_degenerate(p):
 
 def test_suites_give_up_when_every_draw_is_skipped():
     # every pair of these Fermat points spans the line x1+x2 = x3+x4 = 0, which
-    # lies on the surface, so no draw can be tested; run apart so a hang is cut
+    # lies on the surface, so no draw can be tested; run apart so a hang is cut.
+    # The budget runs out at the same draw for the default batch, 1 and 7.
     code = (
-        "from cubicmw import CubicSurface, PointRegistry, normalize, surface_point\n"
+        "from cubicmw import CubicSurface, PointRegistry, normalize, surface_point, relations\n"
         "from cubicmw.errors import DegenerateSample\n"
         "from cubicmw.relations import involution_suite, sextuple_suite\n"
         "s = CubicSurface.diagonal((1, 1, 1, 1))\n"
         "pts = [(0, 0, 1, -1), (1, -1, 0, 0), (1, -1, 1, -1), (1, -1, -1, 1)]\n"
         "reg = PointRegistry(s, 4, [surface_point(s, normalize(p)) for p in pts])\n"
-        "for suite in (involution_suite, sextuple_suite):\n"
-        "    try:\n"
-        "        suite(reg, 5)\n"
-        "    except DegenerateSample as exc:\n"
-        "        print(exc)\n"
+        "for batch in (relations._BATCH, 1, 7):\n"
+        "    relations._BATCH = batch\n"
+        "    for suite in (involution_suite, sextuple_suite):\n"
+        "        try:\n"
+        "            suite(reg, 5)\n"
+        "        except DegenerateSample as exc:\n"
+        "            print(exc)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=30,
@@ -78,4 +97,4 @@ def test_suites_give_up_when_every_draw_is_skipped():
     assert out.stdout.splitlines() == [
         "involution: 501 draws skipped before 5 trials were made",
         "sextuple relation: 501 draws skipped before 5 trials were made",
-    ], out.stderr
+    ] * 3, out.stderr

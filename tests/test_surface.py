@@ -1,11 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cubicmw import (
     CubicForm,
     CubicSurface,
+    enumerate_points,
     eval_form,
     height,
     normalize,
@@ -16,6 +18,7 @@ from cubicmw import (
 from cubicmw.errors import EqualPoints, InvalidCoefficients, LineOnSurface, NotOnSurface
 from cubicmw.linalg import rank
 from cubicmw.geometry import RATIONALS
+from cubicmw.surface import compose_rows
 
 
 def sp(surface, raw):
@@ -125,3 +128,39 @@ def test_compose_closure_and_collinearity(registry_200, zagier_surface):
         assert eval_form(zagier_surface.form, z) == 0
         m = [list(x.coords), list(y.coords), list(z.coords)]
         assert rank(m, RATIONALS) <= 2
+
+
+@pytest.fixture(scope="module")
+def registry_fermat_30():
+    return enumerate_points((1, 1, 1, 1), 30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fermat=st.booleans(), data=st.data())
+def test_compose_rows_match_secant_compose(registry_200, registry_fermat_30, fermat, data):
+    # registry pairs, equal pairs and the chained intermediates the suites
+    # compose; on the Fermat registry about a third of the lines lie on it
+    reg = registry_fermat_30 if fermat else registry_200
+    surface = reg.surface
+    ranks = st.integers(1, len(reg))
+    pairs = []
+    for i, j, k in data.draw(st.lists(st.tuples(ranks, ranks, ranks), min_size=1, max_size=8)):
+        x, y, cur = reg.point(i), reg.point(j), reg.point(k)
+        pairs += [(x, y), (x, x)]
+        try:
+            w = secant_compose(surface, x, y)
+            for t in (y, w, x):
+                pairs.append((t, cur))
+                cur = secant_compose(surface, t, cur)
+                pairs.append((cur, w))
+        except (EqualPoints, LineOnSurface):
+            pass
+    X, Y = (np.array([p[side].coords for p in pairs], dtype=object) for side in (0, 1))
+    Z, ok = compose_rows(surface.form, X, Y)
+    for (x, y), z, defined in zip(pairs, Z.tolist(), ok.tolist()):
+        try:
+            expected = secant_compose(surface, x, y)
+        except (EqualPoints, LineOnSurface):
+            assert not defined and not any(z)
+        else:
+            assert defined and tuple(z) == expected.coords
