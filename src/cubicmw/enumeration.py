@@ -15,8 +15,8 @@ range [lo, hi) at a time (Bernstein, Math. Comp. 70, 2001).
   row.  One in-place sort puts equal values together, left before right;
   a shared value is a left key followed by a right key whose bits above
   ib differ only in the side bit.  Two searchsorted calls of those values
-  give their runs, and each index maps back to (u, v) through the rows'
-  cumulative entry counts.
+  give their runs, and each index maps back to (u, v) through the
+  offsets of the non-empty rows that packing found.
 - Bit budget: the key fits when bitlen(hi - lo) + bitlen(n) + 1 <= 62.
   A range that does not is joined in halves of its width until it does,
   so every input whose pair values stay below 2^62 (else BoundTooLarge)
@@ -152,27 +152,31 @@ class _Side:
         return w
 
     def pack(self, key, first, stop, lo: int, shift: int, tag: int):
-        """key[i] = ((s - lo) << shift) | tag | i for the i-th entry s, row by row."""
+        """key[i] = ((s - lo) << shift) | tag | i for the i-th entry s, row by row.
+
+        Returns the layout `pairs` reads the entries back from: the
+        non-empty rows, their first w and the index of their first entry.
+        """
         row = np.flatnonzero(stop > first)
         f, k = first[row], (stop - first)[row]
+        start = np.cumsum(k) - k
         # w steps by one within a row and jumps to the first w of the next
         key.fill(1)
         key[0] = f[0]
-        key[np.cumsum(k[:-1])] = f[1:] - f[:-1] - k[:-1] + 1
+        key[start[1:]] = f[1:] - f[:-1] - k[:-1] + 1
         np.cumsum(key, out=key)
         np.power(key, 3, out=key)
         key *= self.b
         key += np.repeat(self.c[row] - lo, k)
         key <<= shift
         key |= np.arange(tag, tag + len(key))
+        return row, f, start
 
-    def pairs(self, first, stop, index):
-        """(u, v) of the entries at index in the row-by-row order of pack."""
-        count = stop - first
-        end = np.cumsum(count)
-        row = np.searchsorted(end, index, side="right")
-        w = first[row] + index - (end - count)[row]
-        return self.u[row], self.sign * w
+    def pairs(self, layout, index):
+        """(u, v) of the entries at index, given the layout `pack` returned."""
+        row, f, start = layout
+        j = np.searchsorted(start, index, side="right") - 1
+        return self.u[row[j]], self.sign * (f[j] + index - start[j])
 
 
 def _join_range(sides, lo: int, hi: int, first, stop, n) -> set[tuple[int, int, int, int]]:
@@ -188,8 +192,10 @@ def _join_range(sides, lo: int, hi: int, first, stop, n) -> set[tuple[int, int, 
     ib = sum(n).bit_length()
     shift = ib + 1
     key = np.empty(sum(n), dtype=np.int64)
-    sides[0].pack(key[: n[0]], first[0], stop[0], lo, shift, 0)
-    sides[1].pack(key[n[0] :], first[1], stop[1], lo, shift, 1 << ib)
+    layout = (
+        sides[0].pack(key[: n[0]], first[0], stop[0], lo, shift, 0),
+        sides[1].pack(key[n[0] :], first[1], stop[1], lo, shift, 1 << ib),
+    )
     key.sort()
     step = key[1:] ^ key[:-1]
     step >>= ib
@@ -205,8 +211,8 @@ def _join_range(sides, lo: int, hi: int, first, stop, n) -> set[tuple[int, int, 
     g, left = _expand(start[g], (at - start)[g])
     low = (1 << ib) - 1
     quad = np.column_stack(
-        sides[0].pairs(first[0], stop[0], key[left] & low)
-        + sides[1].pairs(first[1], stop[1], key[right[g]] & low)
+        sides[0].pairs(layout[0], key[left] & low)
+        + sides[1].pairs(layout[1], key[right[g]] & low)
     )
     keep = (np.abs(quad).sum(axis=1) <= sides[0].bound) & (np.gcd.reduce(quad, axis=1) == 1)
     return set(map(tuple, quad[keep].tolist()))

@@ -159,6 +159,19 @@ def test_verify_relations(capsys):
     assert "involution" in stdout and "0 failed" in stdout
 
 
+def test_verify_relations_output_is_pinned(capsys):
+    code, stdout, _ = run(capsys, "verify-relations", "--height", "200", "--trials", "2000")
+    assert code == 0
+    assert stdout.splitlines() == [
+        "involution: 2000 passed, 0 failed, 0 skipped",
+        "sextuple relation: 2000 passed, 0 failed, 83 skipped",
+        "tangent consistency: 2000 passed, 0 failed, 0 skipped",
+        "group identity: 100 passed, 0 failed, 0 skipped",
+        "group commutativity: 100 passed, 0 failed, 0 skipped",
+        "group associativity: 100 passed, 0 failed, 1 skipped",
+    ]
+
+
 def test_split_demo(capsys):
     code, stdout, _ = run(capsys, "split-demo", "--samples", "10", "--seed", "3")
     assert code == 0

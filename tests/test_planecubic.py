@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from cubicmw import (
     CubicForm,
     Field,
+    ProjPoint,
     cubic_compose,
     curve_points,
     eval_form,
@@ -14,7 +16,8 @@ from cubicmw import (
     polar_coeffs,
 )
 from cubicmw.errors import CubicError, EqualPoints, LineOnCurve, SingularPoint
-from cubicmw.planecubic import PlaneCubic, _tangent_value
+from cubicmw import planecubic
+from cubicmw.planecubic import PlaneCubic, _tangent_value, chord_rows
 
 F101 = Field(101)
 
@@ -166,3 +169,74 @@ def test_tangent_value_matches_polar_expansion(p):
             assert group_add(curve, e, x, y) == expected
             branches += 1
     assert branches > 0
+
+
+def check_chord_rows(curve, pts):
+    """chord_rows against cubic_compose on every pair of pts, each point scaled
+    by residues near p, and on the compositions chained to them."""
+    p = curve.field.p
+    scales = (1, p - 1, 2**30 + 7, p - 12345)  # unnormalized representatives
+    pairs = [(x, y, s, t) for x in pts for y in pts for s in scales for t in scales]
+    X = np.array([[s * c % p for c in x.coords] for x, _, s, _ in pairs])
+    Y = np.array([[t * c % p for c in y.coords] for _, y, _, t in pairs])
+
+    def exact(a, b):
+        try:
+            return cubic_compose(curve, a, b)
+        except (EqualPoints, LineOnCurve):
+            return None
+
+    def check(Z, ok, expected):
+        for z, defined, e in zip(Z.tolist(), ok.tolist(), expected):
+            assert (normalize(z, curve.field) if defined else None) == e
+
+    Z, ok = chord_rows(curve, X, Y)
+    xy = [exact(x, y) for x, y, _, _ in pairs]
+    check(Z, ok, xy)
+    # chained: x o (x o y) and (x o y) o y, from the unnormalized x o y
+    d = np.flatnonzero(ok)
+    check(*chord_rows(curve, X[d], Z[d]), [exact(pairs[i][0], xy[i]) for i in d])
+    check(*chord_rows(curve, Z[d], Y[d]), [exact(xy[i], pairs[i][1]) for i in d])
+    return ok
+
+
+def test_chord_rows_do_not_wrap_at_the_largest_prime():
+    # over F_(2^31 - 1) residues near 2^31 make every product of two come
+    # near 2^62, the most an int64 entry takes without wrapping
+    field = Field(2**31 - 1)
+    p = field.p
+    fermat = PlaneCubic(CubicForm.diagonal((1, 1, 1)), field)
+    ok = check_chord_rows(
+        fermat, [normalize(v, field) for v in ((1, -1, 0), (0, 1, -1), (1, 0, -1))]
+    )
+    assert ok.sum() == 6 * 4**2  # the pairs of distinct points
+    # two points with no zero coordinate, and the diagonal cubic through both
+    a, b = (p - 1, p - 2, p - 3), (p - 5, p - 7, p - 11)
+    u, v = [c**3 % p for c in a], [c**3 % p for c in b]
+    diagonal = [(u[1] * v[2] - u[2] * v[1]) % p, (u[2] * v[0] - u[0] * v[2]) % p,
+                (u[0] * v[1] - u[1] * v[0]) % p]
+    curve = PlaneCubic(CubicForm.diagonal(diagonal), field)
+    x, y = normalize(a, field), normalize(b, field)
+    assert curve.is_smooth_at(x) and curve.is_smooth_at(y)
+    check_chord_rows(curve, [x, y, cubic_compose(curve, x, y)])
+
+
+def scan_points(curve):
+    """Every normalized representative of P^2 in turn, kept if it is on the cubic."""
+    p = curve.field.p
+    reps = [(1, a, b) for a in range(p) for b in range(p)]
+    reps += [(0, 1, b) for b in range(p)]
+    reps.append((0, 0, 1))
+    return [x for x in (ProjPoint(r, curve.field) for r in reps) if curve.contains(x)]
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 101])
+@pytest.mark.parametrize("diagonal", [(1, 1, 1), (1, 2, 0), (2, -3, 5), (1, 1, -2), (0, 0, 7)])
+def test_curve_points_match_a_scalar_scan(monkeypatch, p, diagonal):
+    # (0, 0, 7) over F_7 is the zero form, so every point is on it; a block of
+    # 7 representatives puts block edges everywhere in the scan order
+    curve = PlaneCubic(CubicForm.diagonal(diagonal), Field(p))
+    expected = scan_points(curve)
+    for rows in (planecubic._SCAN_ROWS, 7):
+        monkeypatch.setattr(planecubic, "_SCAN_ROWS", rows)
+        assert curve_points(curve) == expected, rows

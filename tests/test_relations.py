@@ -1,11 +1,16 @@
+import functools
 import os
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cubicmw import enumerate_points, relations
-from cubicmw.errors import DegenerateSample
+from cubicmw import CubicForm, Field, curve_points, enumerate_points, group_add, relations
+from cubicmw.errors import CubicError, DegenerateSample
+from cubicmw.planecubic import PlaneCubic
 from cubicmw.relations import (
     group_law_suite,
     involution_suite,
@@ -56,12 +61,81 @@ def test_benchmark_configuration_counts_are_pinned(registry_1100, seed, sextuple
 @pytest.mark.parametrize(
     "p, assoc_skips", [(101, 8), (13, 121)], ids=["f101", "f13"]
 )
-def test_group_law_counts_are_pinned(p, assoc_skips):
-    assert counts(group_law_suite(300, 11, p=p)) == [
-        ("group identity", 300, 0, 0),
-        ("group commutativity", 300, 0, 0),
-        ("group associativity", 300, 0, assoc_skips),
+def test_group_law_counts_are_pinned(monkeypatch, p, assoc_skips):
+    for batch in (relations._BATCH, 7, 1):
+        monkeypatch.setattr(relations, "_BATCH", batch)
+        assert counts(group_law_suite(300, 11, p=p)) == [
+            ("group identity", 300, 0, 0),
+            ("group commutativity", 300, 0, 0),
+            ("group associativity", 300, 0, assoc_skips),
+        ], batch
+
+
+@pytest.mark.parametrize("seed, assoc_skips", [(1, 14), (7, 29)])
+def test_group_law_benchmark_configuration_counts_are_pinned(seed, assoc_skips):
+    # the identities benchmark workload: x^3+y^3+z^3 over F_101, 1000 trials
+    assert counts(group_law_suite(1000, seed)) == [
+        ("group identity", 1000, 0, 0),
+        ("group commutativity", 1000, 0, 0),
+        ("group associativity", 1000, 0, assoc_skips),
     ]
+
+
+def per_draw_group_law(trials, seed, p, diagonal):
+    """The group law suite one draw at a time through the scalar group_add.
+
+    A draw whose sums raise a CubicError is skipped, and the skip budget is
+    the suite's.
+    """
+    curve = PlaneCubic(CubicForm.diagonal(diagonal), Field(p))
+    pts = [x for x in curve_points(curve) if curve.is_smooth_at(x)]
+    if len(pts) < 4:
+        raise DegenerateSample(f"the suite draws 4 distinct points, there are {len(pts)}")
+    rng = random.Random(seed)
+    add = functools.partial(group_add, curve)
+    checks = [
+        ("group identity", lambda e, x: add(e, x, e) == x),
+        ("group commutativity", lambda e, x, y: add(e, x, y) == add(e, y, x)),
+        ("group associativity",
+         lambda e, x, y, z: add(e, add(e, x, y), z) == add(e, x, add(e, y, z))),
+    ]
+    out = []
+    for k, (name, check) in enumerate(checks, start=2):
+        passes = failures = skips = 0
+        while passes + failures < trials:
+            try:
+                holds = check(*rng.sample(pts, k))
+            except CubicError:
+                skips += 1
+                if skips > relations._SKIPS_PER_TRIAL * trials:
+                    raise DegenerateSample(
+                        f"{name}: {skips} draws skipped before {trials} trials were made"
+                    )
+                continue
+            passes += holds
+            failures += not holds
+        out.append((name, passes, failures, skips))
+    return out
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (CubicError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([p for p in range(5, 98) if all(p % d for d in range(2, p))]),
+    # zero coefficients and multiples of p give singular and reducible curves
+    st.tuples(*[st.integers(-6, 6)] * 3),
+    st.integers(0, 2**32),
+    st.integers(1, 200),
+)
+def test_group_law_suite_matches_per_draw_group_add(p, diagonal, seed, trials):
+    batched = outcome(lambda: counts(group_law_suite(trials, seed, p=p, diagonal=diagonal)))
+    assert batched == outcome(per_draw_group_law, trials, seed, p, diagonal)
 
 
 @pytest.mark.parametrize("p", [2, 3])
