@@ -11,6 +11,8 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .decompose import build_report, build_table
@@ -87,6 +89,62 @@ def cmd_compose(args) -> int:
     return 0
 
 
+def json_pieces(obj, nl="\n"):
+    """Yield the text of json.dumps(obj, indent=1) in pieces, one per dict item.
+
+    `nl` is a newline plus the indent of obj's own line.  Dict keys must be
+    str.  Keys and strings go through json's C escaper, a list of int rows of
+    one length through one %d template; any other scalar (bool, None, float)
+    is left to json.dumps.
+    """
+    if not isinstance(obj, dict) or not obj:
+        yield _json_text(obj, nl)
+        return
+    inner = nl + " "
+    sep = "{" + inner
+    for key, value in obj.items():
+        head = sep + encode_basestring_ascii(key) + ": "
+        sep = "," + inner
+        if isinstance(value, dict) and value:
+            yield head
+            yield from json_pieces(value, inner)
+        else:
+            yield head + _json_text(value, inner)
+    yield nl + "}"
+
+
+def _json_text(obj, nl: str) -> str:
+    """json.dumps(obj, indent=1) for a value on a line indented as `nl` says."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if isinstance(obj, dict):
+        return "".join(json_pieces(obj, nl)) if obj else "{}"
+    if not isinstance(obj, (list, tuple)):
+        return json.dumps(obj)
+    if not obj:
+        return "[]"
+    inner = nl + " "
+    flat = _int_rows(obj)
+    if flat:
+        # one %d template per row, all filled in by one format
+        deeper = inner + " "
+        row = "[" + deeper + ("," + deeper).join(["%d"] * len(obj[0])) + inner + "]"
+        body = ("," + inner).join([row] * len(obj)) % flat
+    else:
+        body = ("," + inner).join([_json_text(v, inner) for v in obj])
+    return "[" + inner + body + nl + "]"
+
+
+def _int_rows(obj) -> tuple[int, ...]:
+    """obj's entries row by row if obj holds non-empty int lists of one length, else ()."""
+    if {*map(type, obj)} != {list} or len({*map(len, obj)}) != 1:
+        return ()
+    flat = tuple(chain.from_iterable(obj))
+    return flat if {*map(type, flat)} == {int} else ()
+
+
 def cmd_decompose(args) -> int:
     reg = load_registry(args.points, args.coeffs)
     table = build_table(reg)
@@ -98,7 +156,7 @@ def cmd_decompose(args) -> int:
         "version": __version__,
     }
     with open(args.report, "w") as fh:
-        json.dump(payload, fh, indent=1)
+        fh.writelines(json_pieces(payload))
         fh.write("\n")
     print(
         f"points={payload['points']} strong={payload['strong_count']} "

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .enumeration import PointRegistry
-from .errors import EmptyRegistry, EqualPoints, LineOnSurface, ParseError
+from .errors import EmptyRegistry
 from .fixpoint import semi_naive
 from .geometry import gradient, primitive_rows
 from .surface import height, on_tangent_section, secant_compose
@@ -37,14 +37,6 @@ class CompositionTable:
     in_vh: dict[tuple[int, int], int] = field(default_factory=dict)
     undefined: set[tuple[int, int]] = field(default_factory=set)
     tangent: dict[int, tuple[int, ...]] = field(default_factory=dict)
-
-    def outcome(self, i: int, j: int):
-        key = (i, j) if i < j else (j, i)
-        if key in self.in_vh:
-            return ("in", self.in_vh[key])
-        if key in self.undefined:
-            return ("undefined", None)
-        return ("outside", None)
 
     @functools.cached_property
     def pairs_of(self) -> dict[int, list[tuple[tuple[int, int], int]]]:
@@ -198,40 +190,6 @@ def render_scheme(scheme: Scheme) -> str:
     return str(scheme.rank) if scheme.is_leaf else top(scheme)
 
 
-def parse_scheme(text: str):
-    """Parse a rendered scheme into nested (left, right) tuples with int leaves."""
-    pos = 0
-
-    def atom():
-        nonlocal pos
-        if pos < len(text) and text[pos] == "(":
-            pos += 1
-            node = expr()
-            if pos >= len(text) or text[pos] != ")":
-                raise ParseError(f"missing ')' at position {pos} in {text!r}")
-            pos += 1
-            return node
-        start = pos
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
-        if start == pos:
-            raise ParseError(f"expected rank at position {pos} in {text!r}")
-        return int(text[start:pos])
-
-    def expr():
-        nonlocal pos
-        left = atom()
-        if pos < len(text) and text[pos] == OP:
-            pos += 1
-            return (left, atom())
-        return left
-
-    tree = expr()
-    if pos != len(text):
-        raise ParseError(f"trailing input at position {pos} in {text!r}")
-    return tree
-
-
 def evaluate_scheme(registry: PointRegistry, scheme: Scheme):
     """Re-evaluate an annotated scheme bottom-up through the surface arithmetic."""
     surface = registry.surface
@@ -248,31 +206,6 @@ def evaluate_scheme(registry: PointRegistry, scheme: Scheme):
     if z != value:
         raise ValueError(f"scheme value mismatch at rank {scheme.rank}")
     return value
-
-
-def evaluate_parsed(registry: PointRegistry, tree) -> set[tuple[int, ...]]:
-    """Value set of a parsed (unannotated) scheme; tangent nodes are multivalued."""
-    surface = registry.surface
-    if isinstance(tree, int):
-        return {registry.point(tree).coords}
-    lvals = evaluate_parsed(registry, tree[0])
-    rvals = evaluate_parsed(registry, tree[1])
-    out: set[tuple[int, ...]] = set()
-    for a in lvals:
-        pa = registry.point(registry.index[a])
-        for b in rvals:
-            if a == b:
-                for x in registry.points:
-                    if x.coords != a and on_tangent_section(surface, x, pa):
-                        out.add(x.coords)
-                continue
-            try:
-                z = secant_compose(surface, pa, registry.point(registry.index[b]))
-            except (EqualPoints, LineOnSurface):
-                continue
-            if z.coords in registry.index:
-                out.add(z.coords)
-    return out
 
 
 @dataclass

@@ -3,12 +3,13 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubicmw import cli, enumerate_points
+from cubicmw import build_report, build_table, cli, enumerate_points
 from cubicmw.cli import main
 
 P3_BASE = "1,0,0,5;0,1,0,0;0,0,1,0;1,1,1,0;1,2,3,0;1,4,9,0"
@@ -149,6 +150,58 @@ def test_decompose_report(tmp_path, capsys):
         payload["strong_count"] + payload["weak_only_count"] + payload["generator_count"]
     )
     assert payload["config"]["coeffs"] == [1, 2, 3, 4]
+
+
+_json_ints = st.integers(-(2**70), 2**70)
+_json_str = st.text(st.characters() | st.sampled_from('∘"\\/\x00\x1f\n\t\x7f'), max_size=8)
+_json_rows = st.integers(1, 4).flatmap(
+    lambda width: st.lists(st.lists(_json_ints, min_size=width, max_size=width), max_size=4))
+_json_values = st.recursive(
+    st.none() | st.booleans() | _json_ints | _json_str | _json_rows
+    | st.lists(st.lists(_json_ints, max_size=3), max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_json_str, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_json_pieces_match_json_dumps(obj):
+    assert "".join(cli.json_pieces(obj)) == json.dumps(obj, indent=1)
+
+
+@pytest.mark.parametrize("coeffs, height", [("1,2,3,4", "300"), ("1,1,1,1", "24")])
+def test_decompose_report_bytes_are_json_dumps(tmp_path, capsys, coeffs, height):
+    # the directory name puts a quote and the composition symbol into points_file
+    pts = tmp_path / 'pts "∘"' / "points.txt"
+    pts.parent.mkdir()
+    report = tmp_path / "report.json"
+    run(capsys, "enumerate", "--coeffs", coeffs, "--height", height, "--out", str(pts))
+    with mock.patch.object(cli, "json_pieces", wraps=cli.json_pieces) as writer:
+        code, _, _ = run(capsys, "decompose", "--points", str(pts), "--coeffs", coeffs,
+                         "--report", str(report))
+    assert code == 0
+    payload = writer.call_args_list[0].args[0]
+    assert payload["config"]["points_file"] == str(pts)
+    assert report.read_bytes() == (json.dumps(payload, indent=1) + "\n").encode()
+
+
+def test_report_writer_streams(tmp_path):
+    registry = enumerate_points((1, 1, 1, 1), 24)
+    payload = build_report(build_table(registry)).to_json_dict()
+
+    def peak(write):
+        with open(tmp_path / "report.json", "w") as fh:
+            tracemalloc.start()
+            try:
+                write(fh)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    old = peak(lambda fh: json.dump(payload, fh, indent=1))
+    new = peak(lambda fh: fh.writelines(cli.json_pieces(payload)))
+    assert new <= old
 
 
 def test_verify_relations(capsys):
