@@ -17,8 +17,8 @@ import numpy as np
 from .enumeration import PointRegistry
 from .errors import EmptyRegistry
 from .fixpoint import semi_naive
-from .geometry import gradient, primitive_rows
-from .surface import height, on_tangent_section, secant_compose
+from .geometry import primitive_rows
+from .surface import height, on_tangent_section, point_rows, secant_compose
 
 OP = "∘"  # the composition symbol used in rendered schemes
 
@@ -60,22 +60,13 @@ def build_table(registry: PointRegistry) -> CompositionTable:
     c2[j]·x_i − c1[j]·x_j, normalized.  Only candidates no higher than the highest registry point
     are looked up in the index.
 
-    The arrays are int64 when the largest intermediate, the unnormalized
-    height |c2·x_i − c1·x_j|_1 <= 32·max|grad F|·max|x|², stays below 2^63,
-    and Python ints otherwise, so no entry ever wraps.
+    P and G are the rows of `point_rows`: int64 while no entry can wrap.
     """
     n = len(registry)
     if n == 0:
         raise EmptyRegistry("empty registry")
     table = CompositionTable(registry)
-    form = registry.surface.form
-    coords = [x.coords for x in registry.points]
-    grads = [gradient(form, x) for x in registry.points]
-    gmax = max(abs(c) for g in grads for c in g)
-    xmax = max(abs(c) for x in coords for c in x)
-    dtype = np.int64 if 32 * gmax * xmax**2 < 2**63 else object
-    P = np.array(coords, dtype=dtype)
-    G = np.array(grads, dtype=dtype)
+    P, G = point_rows(registry.surface.form, registry.points)
     cap = max(height(x) for x in registry.points)
     index = registry.index
     for i in range(n):

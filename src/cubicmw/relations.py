@@ -5,13 +5,18 @@ intermediate composition is undefined, and counts failures.  Skips are
 reported, never hidden.
 
 The registry suites check their draws in batches of at most `_BATCH`.  A
-batch stacks the drawn points into numpy object arrays of Python ints, so
-the arithmetic stays exact, and composes them row by row (`compose_rows`).
-A batch never holds more draws than trials are missing, and its outcomes
-are counted in draw order, so every count, and the draw at which the skip
-budget runs out, is the same as when each draw is checked on its own.
-The group law runs through the same loop over F_p: its points are int64
-rows of residues mod p, composed row by row with `chord_rows`.
+batch's draws come in bulk from the rng's word stream (`sample_rows`),
+exactly the indices, and the rng state, that `random.sample` would give
+one draw at a time.  The registry's points and gradients are rows of
+`point_rows`, int64 while no composition of two of them can wrap, so the
+first compositions of a draw run on int64 rows with the gradients looked
+up; every composed point is an object row of Python ints, so the later
+steps stay exact.  A batch never holds more draws than trials are
+missing, and its outcomes are counted in draw order, so every count, and
+the draw at which the skip budget runs out, is the same as when each draw
+is checked on its own.  The group law runs through the same loop over
+F_p: its points are int64 rows of residues mod p, composed row by row
+with `chord_rows`.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .planecubic import (
 )
 # bench/workload.py counts calls of relations.secant_compose; the batched
 # compositions of the registry suites are not such calls
-from .surface import compose_rows, secant_compose  # noqa: F401
+from .surface import compose_rows, point_rows, secant_compose  # noqa: F401
 
 # Draws checked at once; it bounds the size, and so the memory, of a batch's arrays.
 _BATCH = 128
@@ -84,15 +89,14 @@ def _skip(res: SuiteResult, trials: int) -> None:
 def _run(name: str, trials: int, draw, check) -> SuiteResult:
     """Count the outcomes of check on batches of draws until trials are made.
 
-    check maps a list of draws to one outcome per draw, in order: True for
-    a pass, False for a failure and None for a skip.  A round draws no more
-    than the trials still missing, so the rng gives the draws a loop over
-    single draws would get.
+    draw(m) gives m draws as the rows of an array; check maps them to one
+    outcome per draw, in order: True for a pass, False for a failure and
+    None for a skip.  A round draws no more than the trials still missing,
+    so the rng gives the draws a loop over single draws would get.
     """
     res = SuiteResult(name)
     while (done := res.passes + res.failures) < trials:
-        batch = [draw() for _ in range(min(_BATCH, trials - done))]
-        for outcome in check(batch):
+        for outcome in check(draw(min(_BATCH, trials - done))):
             if outcome is None:
                 _skip(res, trials)
             elif outcome:
@@ -102,30 +106,92 @@ def _run(name: str, trials: int, draw, check) -> SuiteResult:
     return res
 
 
+def sample_rows(rng: random.Random, n: int, k: int, m: int) -> np.ndarray:
+    """`[rng.sample(range(n), k) for _ in range(m)]` as an (m, k) int64 array.
+
+    rng ends in the state that loop leaves it in.  For n > 21 and k <= 5,
+    `sample` draws each value as `getrandbits(b)`, b = n.bit_length(), again
+    while it is n or more or already picked.  For b <= 32 that value is the
+    top b bits of one 32-bit word of the generator, and `getrandbits(32·w)`
+    is the next w words, the first in the lowest bits.  So the rows are read
+    off one chunk of words: the values below n, cut into rows of k, up to
+    the first row with a repeat, which is redrawn one value at a time.  The
+    rng is then wound back and moved on by the words used.  Other n and k,
+    and subclasses of Random, run the loop.
+    """
+    b = n.bit_length()
+    if not (n > 21 and 0 < k <= 5 and b <= 32 and type(rng) is random.Random):
+        rows = [rng.sample(range(n), k) for _ in range(m)]
+        return np.array(rows, dtype=np.int64).reshape(m, k)
+    rows = np.empty((m, k), dtype=np.int64)
+    done = 0
+    while done < m:
+        state = rng.getstate()
+        w = 2 * k * (m - done) + 16
+        words = np.frombuffer(rng.getrandbits(32 * w).to_bytes(4 * w, "little"), "<u4")
+        values = words >> (32 - b)
+        pos = np.flatnonzero(values < n)
+        got, used = _fill_rows(values[pos], rows[done:])
+        rng.setstate(state)
+        if got:
+            rng.getrandbits(32 * (int(pos[used - 1]) + 1))
+        else:  # no whole row in the chunk
+            rows[done], got = rng.sample(range(n), k), 1
+        done += got
+    return rows
+
+
+def _fill_rows(values, out) -> tuple[int, int]:
+    """Fill rows of out from the values `sample` accepts, in order, as it picks them.
+
+    Returns the number of rows filled, each a whole row, and of values used.
+    """
+    k = out.shape[1]
+    r = i = 0
+    while r < len(out):
+        R = values[i : i + (len(values) - i) // k * k].reshape(-1, k)[: len(out) - r]
+        s = np.sort(R, axis=1)
+        repeats = np.flatnonzero((s[:, 1:] == s[:, :-1]).any(axis=1))
+        good = int(repeats[0]) if len(repeats) else len(R)
+        out[r : r + good] = R[:good]
+        r, i = r + good, i + good * k
+        if good == len(R):
+            break
+        row, j = [], i  # the row with a repeat: `sample` skips a picked value
+        while len(row) < k and j < len(values):
+            if values[j] not in row:
+                row.append(values[j])
+            j += 1
+        if len(row) < k:
+            break
+        out[r], r, i = row, r + 1, j
+    return r, i
+
+
 def _outcomes(defined, holds) -> list:
     """None where a draw's compositions are undefined, else whether it holds."""
     return np.where(defined, holds, None).tolist()
 
 
 def _registry_draws(registry: PointRegistry, k: int, seed: int):
-    """The registry's coordinates as an object array, and a draw of k row indices.
+    """The registry's `point_rows` P and G, and draw(m), m draws of k row indices.
 
     A draw holds the indices `random.sample` picks from the points.
     """
     _check_size(registry.points, k)
-    P = np.array([x.coords for x in registry.points], dtype=object)
-    return P, functools.partial(random.Random(seed).sample, range(len(P)), k)
+    P, G = point_rows(registry.surface.form, registry.points)
+    return P, G, functools.partial(sample_rows, random.Random(seed), len(P), k)
 
 
 def involution_suite(registry: PointRegistry, trials: int, seed: int = 0) -> SuiteResult:
     """x o (x o y) = y, or x o y = x when y lies on the tangent section at x."""
     form = registry.surface.form
-    P, draw = _registry_draws(registry, 2, seed)
+    P, G, draw = _registry_draws(registry, 2, seed)
 
     def check(draws):
-        X, Y = P[np.array(draws).T]
-        GX = gradient_rows(form, X)
-        Z, defined = compose_rows(form, X, Y, GX)
+        x, y = draws.T
+        X, Y, GX = P[x], P[y], G[x]
+        Z, defined = compose_rows(form, X, Y, GX, G[y])
         fixed = (Z == X).all(axis=1)
         back, ok = compose_rows(form, X, Z, GX)
         # as in `z == x or x o z == y`: x o z counts only where z != x
@@ -137,18 +203,19 @@ def involution_suite(registry: PointRegistry, trials: int, seed: int = 0) -> Sui
 def sextuple_suite(registry: PointRegistry, trials: int, seed: int = 0) -> SuiteResult:
     """(t_x t_{x o y} t_y)^2 = identity, tested pointwise on registry samples."""
     form = registry.surface.form
-    P, draw = _registry_draws(registry, 3, seed)
+    P, G, draw = _registry_draws(registry, 3, seed)
 
     def check(draws):
-        X, Y, Z = P[np.array(draws).T]
-        GX, GY = gradient_rows(form, X), gradient_rows(form, Y)
+        x, y, z = draws.T
+        X, Y, GX, GY = P[x], P[y], G[x], G[y]
         W, defined = compose_rows(form, X, Y, GX, GY)
         GW = gradient_rows(form, W)
-        cur = Z
-        for T, GT in ((Y, GY), (W, GW), (X, GX)) * 2:
+        cur, ok = compose_rows(form, Y, P[z], GY, G[z])
+        defined &= ok
+        for T, GT in ((W, GW), (X, GX), (Y, GY), (W, GW), (X, GX)):
             cur, ok = compose_rows(form, T, cur, GT)
             defined &= ok
-        return _outcomes(defined, (cur == Z).all(axis=1))
+        return _outcomes(defined, (cur == P[z]).all(axis=1))
 
     return _run("sextuple relation", trials, draw, check)
 
@@ -159,15 +226,16 @@ def tangent_consistency_suite(
     """x on the tangent section at y iff the polar coefficient c1 of (y, x) vanishes.
 
     The section is grad F(y)·x = 0, as in `on_tangent_section`; the polar
-    expansion does not use the gradient.
+    expansion does not use the gradient, and runs on Python ints.
     """
     form = registry.surface.form
-    P, draw = _registry_draws(registry, 2, seed)
+    P, G, draw = _registry_draws(registry, 2, seed)
+    Q = P.astype(object)
 
     def check(draws):
-        X, Y = P[np.array(draws).T]
-        on_section = (gradient_rows(form, Y) * X).sum(axis=1) == 0
-        return (on_section == (polar_rows(form, Y, X)[1] == 0)).tolist()
+        x, y = draws.T
+        on_section = (G[y] * P[x]).sum(axis=1) == 0
+        return (on_section == (polar_rows(form, Q[y], Q[x])[1] == 0)).tolist()
 
     return _run("tangent consistency", trials, draw, check)
 
@@ -210,18 +278,18 @@ def group_law_suite(
         return S, ok & defined
 
     def identity(draws):
-        e, x = np.array(draws).T
+        e, x = draws.T
         S, ok = add(e, P[x], P[e], G[x], G[e])
         return _outcomes(ok, same_rows(S, P[x], p))
 
     def commutativity(draws):
-        e, x, y = np.array(draws).T
+        e, x, y = draws.T
         A, ok = add(e, P[x], P[y], G[x], G[y])
         B, ok_b = add(e, P[y], P[x], G[y], G[x])
         return _outcomes(ok & ok_b, same_rows(A, B, p))
 
     def associativity(draws):
-        e, x, y, z = np.array(draws).T
+        e, x, y, z = draws.T
         XY, ok = add(e, P[x], P[y], G[x], G[y])
         YZ, ok_yz = add(e, P[y], P[z], G[y], G[z])
         L, ok_l = add(e, XY, P[z], GY=G[z])
@@ -229,7 +297,7 @@ def group_law_suite(
         return _outcomes(ok & ok_yz & ok_l & ok_r, same_rows(L, R, p))
 
     def draw(k):
-        return functools.partial(rng.sample, range(len(P)), k)
+        return functools.partial(sample_rows, rng, len(P), k)
 
     return [
         _run("group identity", trials, draw(2), identity),

@@ -4,7 +4,8 @@ x o y is the third intersection of the line through x, y with the surface;
 it is partial (undefined when the line lies on the surface) and multivalued
 at x = y, where the value set is the tangent-plane section.  The latter is
 exposed as the binary relation `on_tangent_section`.  `compose_rows` is
-the composition of a batch of point pairs over Q at once.
+the composition of a batch of point pairs over Q at once, on the rows of
+`point_rows`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from .geometry import (
     normalize,
     primitive_rows,
 )
+
+# point_rows gives int64 rows while every composition of two of them stays below this
+_INT64_BOUND = 2**63
 
 
 def height(x: ProjPoint) -> int:
@@ -78,14 +82,31 @@ def secant_compose(surface: CubicSurface, x: ProjPoint, y: ProjPoint) -> ProjPoi
     return normalize(raw, x.field)
 
 
+def point_rows(form: CubicForm, points) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates P and the gradients G of points over Q, one row each.
+
+    The rows are int64 when 32·max|grad F|·max|x|², which bounds the
+    unnormalized height |c2·x − c1·y|_1 of the composition of any two of
+    the points, stays below 2^63, and Python ints otherwise, so no entry
+    of a composition of two rows ever wraps.
+    """
+    P = np.array([x.coords for x in points], dtype=object)
+    G = gradient_rows(form, P)
+    if 32 * np.abs(G).max() * np.abs(P).max() ** 2 < _INT64_BOUND:
+        return P.astype(np.int64), G.astype(np.int64)
+    return P, G
+
+
 def compose_rows(form: CubicForm, X, Y, GX=None, GY=None) -> tuple[np.ndarray, np.ndarray]:
     """`secant_compose` of each row pair of X and Y, normalized points over Q.
 
-    X and Y are 2-d object arrays of Python ints, so no entry can wrap; GX
-    and GY are their rows' gradients when already known.  Returns (Z, ok):
-    ok is False exactly where `secant_compose` raises, and Z's row is zero
-    there.  Both cases make c2·x − c1·y the zero vector, and only they do:
-    distinct normalized points are independent, and at x = y, c1 = c2.
+    X and Y are 2-d object arrays of Python ints or rows of `point_rows`;
+    GX and GY are their rows' gradients when already known.  Returns
+    (Z, ok), Z an object array whatever the input: a composed point's
+    gradient can pass 2^63 where the points' own cannot.  ok is False
+    exactly where `secant_compose` raises, and Z's row is zero there.  Both
+    cases make c2·x − c1·y the zero vector, and only they do: distinct
+    normalized points are independent, and at x = y, c1 = c2.
     """
     GX = gradient_rows(form, X) if GX is None else GX
     GY = gradient_rows(form, Y) if GY is None else GY
@@ -95,7 +116,7 @@ def compose_rows(form: CubicForm, X, Y, GX=None, GY=None) -> tuple[np.ndarray, n
     g = np.gcd.reduce(raw, axis=1)
     ok = g != 0
     g[~ok] = 1
-    return primitive_rows(raw, g), ok
+    return primitive_rows(raw, g).astype(object, copy=False), ok
 
 
 def on_tangent_section(surface: CubicSurface, x: ProjPoint, y: ProjPoint) -> bool:

@@ -4,19 +4,31 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubicmw import CubicForm, Field, curve_points, enumerate_points, group_add, relations
+from cubicmw import (
+    CubicForm,
+    Field,
+    curve_points,
+    enumerate_points,
+    group_add,
+    relations,
+    surface,
+)
 from cubicmw.errors import CubicError, DegenerateSample
+from cubicmw.geometry import gradient_rows
 from cubicmw.planecubic import PlaneCubic
 from cubicmw.relations import (
     group_law_suite,
     involution_suite,
+    sample_rows,
     sextuple_suite,
     tangent_consistency_suite,
 )
+from cubicmw.surface import compose_rows, point_rows
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -26,6 +38,15 @@ SUITES = (involution_suite, sextuple_suite, tangent_consistency_suite)
 
 def counts(results):
     return [(r.name, r.passes, r.failures, r.skips) for r in results]
+
+
+def row_paths(monkeypatch, registry):
+    """Run the loop body on the registry's int64 rows, then on its object rows."""
+    for bound, dtype in ((surface._INT64_BOUND, np.int64), (0, object)):
+        monkeypatch.setattr(surface, "_INT64_BOUND", bound)
+        P, G = point_rows(registry.surface.form, registry.points)
+        assert P.dtype == G.dtype == dtype
+        yield dtype
 
 
 @pytest.mark.parametrize(
@@ -42,20 +63,67 @@ def test_registry_suite_counts_are_pinned(monkeypatch, coeffs, height, expected)
     # the skip counts pin how EqualPoints and LineOnSurface draws are classified;
     # they do not depend on the batch: 7 ends inside the 2000 trials and takes
     # skips anywhere in a batch, and 1 checks one draw at a time
+    # and on both the int64 and the object rows of `point_rows`
     reg = enumerate_points(coeffs, height)
-    for batch in (relations._BATCH, 7, 1):
-        monkeypatch.setattr(relations, "_BATCH", batch)
-        assert counts(s(reg, 2000, 11) for s in SUITES) == expected, batch
+    for dtype in row_paths(monkeypatch, reg):
+        for batch in (relations._BATCH, 7, 1):
+            monkeypatch.setattr(relations, "_BATCH", batch)
+            assert counts(s(reg, 2000, 11) for s in SUITES) == expected, (dtype, batch)
 
 
 @pytest.mark.parametrize("seed, sextuple_skips", [(1, 36), (7, 38)])
-def test_benchmark_configuration_counts_are_pinned(registry_1100, seed, sextuple_skips):
+def test_benchmark_configuration_counts_are_pinned(
+    monkeypatch, registry_1100, seed, sextuple_skips
+):
     # the identities benchmark workload: the H=1100 registry, 10^4 trials
-    assert counts(s(registry_1100, 10_000, seed) for s in SUITES) == [
-        ("involution", 10_000, 0, 0),
-        ("sextuple relation", 10_000, 0, sextuple_skips),
-        ("tangent consistency", 10_000, 0, 0),
-    ]
+    for dtype in row_paths(monkeypatch, registry_1100):
+        assert counts(s(registry_1100, 10_000, seed) for s in SUITES) == [
+            ("involution", 10_000, 0, 0),
+            ("sextuple relation", 10_000, 0, sextuple_skips),
+            ("tangent consistency", 10_000, 0, 0),
+        ], dtype
+
+
+def test_composed_rows_are_object_rows(registry_1100):
+    # a composed point's gradient reaches about 2^75 at H=1100: fed to int64
+    # arithmetic it would wrap, so compose_rows hands back Python ints
+    form = registry_1100.surface.form
+    P, G = point_rows(form, registry_1100.points)
+    assert P.dtype == G.dtype == np.int64
+    x, y = sample_rows(random.Random(3), len(P), 2, 2000).T
+    Z, ok = compose_rows(form, P[x], P[y], G[x], G[y])
+    W, ok_w = compose_rows(form, P[x].astype(object), P[y].astype(object))
+    assert Z.dtype == W.dtype == object
+    assert (ok.tolist(), Z.tolist()) == (ok_w.tolist(), W.tolist())
+    GZ = gradient_rows(form, Z)
+    assert GZ.tolist() == gradient_rows(form, W).tolist()
+    assert max(map(abs, GZ.ravel().tolist())) > 2**63
+    assert gradient_rows(form, Z.astype(np.int64)).tolist() != GZ.tolist()
+
+
+def populations(k):
+    """n from k to 5000: below 22, where `sample` keeps a pool, and 2^j and
+    2^j + 1, where a word's value is kept with chance 1 and about 1/2."""
+    powers = st.integers(max(2, k.bit_length()), 12).flatmap(
+        lambda j: st.sampled_from([2**j, 2**j + 1])
+    )
+    return st.one_of(st.integers(k, 21), powers, st.integers(k, 5000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**64),
+    st.sampled_from([2, 3, 4]).flatmap(lambda k: st.tuples(st.just(k), populations(k))),
+    st.lists(st.integers(1, 300), min_size=1, max_size=4),
+)
+def test_sample_rows_match_per_draw_sample(seed, k_n, sizes):
+    k, n = k_n
+    rng, loop = random.Random(seed), random.Random(seed)
+    for m in sizes:
+        rows = sample_rows(rng, n, k, m)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [loop.sample(range(n), k) for _ in range(m)]
+        assert rng.getstate() == loop.getstate()
 
 
 @pytest.mark.parametrize(
