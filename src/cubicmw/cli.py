@@ -15,7 +15,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .decompose import build_report, build_table
+from .decompose import build_report, build_table, cap_profile
 from .enumeration import enumerate_points, load_registry, save_registry
 from .errors import CubicError, ParseError
 from .geometry import Field, RATIONALS, normalize
@@ -26,7 +26,7 @@ from .relations import (
     tangent_consistency_suite,
 )
 from .splitplane import BlowupModel, plane_closure, verify_claim1
-from .surface import CubicSurface, secant_compose, surface_point
+from .surface import CubicSurface, height, secant_compose, surface_point
 
 import random
 
@@ -158,11 +158,23 @@ def cmd_decompose(args) -> int:
     with open(args.report, "w") as fh:
         fh.writelines(json_pieces(payload))
         fh.write("\n")
+    if args.profile is not None:
+        _write_profile(table, args.profile)
     print(
         f"points={payload['points']} strong={payload['strong_count']} "
         f"weak_only={payload['weak_only_count']} generators={payload['generator_count']}"
     )
     return 0
+
+
+def _write_profile(table, path: str) -> None:
+    """cap(x) of each rank x that is not strongly decomposable, as JSON (null: unreached)."""
+    reg = table.registry
+    caps = [{"rank": x, "coords": list(reg.point(x).coords), "height": height(reg.point(x)),
+             "cap": cap} for x, cap in cap_profile(table)]
+    with open(path, "w") as fh:
+        fh.writelines(json_pieces({"points": len(reg), "caps": caps}))
+        fh.write("\n")
 
 
 def cmd_verify_relations(args) -> int:
@@ -247,6 +259,8 @@ def main(argv=None) -> int:
     p.add_argument("--points", required=True)
     p.add_argument("--coeffs", type=_coeffs, required=True)
     p.add_argument("--report", required=True)
+    p.add_argument("--profile", default=None,
+                   help="also write cap(x), the least height cap reaching x, per non-strong rank")
     p.set_defaults(func=cmd_decompose)
 
     p = subs.add_parser("verify-relations", help="randomized identity suites")

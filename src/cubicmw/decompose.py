@@ -10,13 +10,14 @@ form the generator set.
 from __future__ import annotations
 
 import functools
+import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .enumeration import PointRegistry
 from .errors import EmptyRegistry
-from .fixpoint import semi_naive
 from .geometry import primitive_rows
 from .surface import height, on_tangent_section, point_rows, secant_compose
 
@@ -119,6 +120,97 @@ class Scheme:
         return self.left is None
 
 
+class _MinMaxPass:
+    """Least offers over the table from a growing seed set (Knuth, IPL 6 (1977)).
+
+    A relation (i, j) -> k offers max(w_k, step + max(v_i, v_j)) to k, a
+    tangent row r -> k offers max(w_k, step + v_r); seeds hold 0.  With
+    step 1 and w = 0, value[k] is the closure generation of k; with step 0
+    and w = height, it is the least height cap under which k is reached.
+    parent[k] is the smallest pair among the offers equal to value[k], with
+    (r, r) for a tangent row: the pair `_closure` picks in the earliest
+    generation.  Seeds are only ever added, so values only fall, and each
+    `settle` resumes from the last one (Ramalingam & Reps, J. Algorithms 21
+    (1996)): a popped rank offers along every relation it enters, and a
+    lowered rank is pushed again.
+    """
+
+    def __init__(self, table: CompositionTable, by_height: bool = False):
+        n = len(table.registry)
+        self.pairs_of = table.pairs_of
+        self.tangent = table.tangent
+        self.step = 0 if by_height else 1
+        self.weight = [0] * (n + 1)
+        if by_height:
+            self.weight[1:] = map(height, table.registry.points)
+        # rank 0 names no point and stays unreached: settle(0) runs to the fixpoint
+        self.value: list[float] = [math.inf] * (n + 1)
+        self.parent: list[tuple[int, int] | None] = [None] * (n + 1)
+        self.heap: list[tuple[float, int]] = []
+
+    def seed(self, r: int) -> None:
+        self.value[r] = 0
+        heapq.heappush(self.heap, (0, r))
+
+    def settle(self, target: int = 0) -> None:
+        """Pop while the heap's least entry is below value[target]; settle() runs to the fixpoint.
+
+        Then the target and every rank whose least offer is below that bound
+        hold their least offers, and with step 1 their parents are final: each
+        relation into them was offered at its inputs' final values.
+        """
+        value, parent, heap = self.value, self.parent, self.heap
+        pairs_of, tangent, weight, step = self.pairs_of, self.tangent, self.weight, self.step
+        inf, push = math.inf, heapq.heappush
+        while heap and heap[0][0] < value[target]:
+            v, r = heapq.heappop(heap)
+            if v != value[r]:
+                continue  # superseded by a lower entry
+            # an offer from r is at least v + step: ranks below that cannot gain
+            low = v + step
+            for pair, k in pairs_of.get(r, ()):
+                if value[k] < low:
+                    continue
+                a, b = value[pair[0]], value[pair[1]]
+                o = (a if a > b else b) + step
+                if o < weight[k]:
+                    o = weight[k]
+                if o < value[k]:
+                    value[k], parent[k] = o, pair
+                    push(heap, (o, k))
+                elif o == value[k] != inf and pair < parent[k]:  # inf: an input is unreached
+                    parent[k] = pair
+            # the tangent rows: the same offers, from the pair (r, r)
+            pair = (r, r)
+            for k in tangent[r]:
+                if value[k] < low:
+                    continue
+                o = low if low > weight[k] else weight[k]
+                if o < value[k]:
+                    value[k], parent[k] = o, pair
+                    push(heap, (o, k))
+                elif o == value[k] and pair < parent[k]:
+                    parent[k] = pair
+
+    def scheme(self, k: int) -> Scheme:
+        """The witness of k read off the parents; its leaves are seeds."""
+        if self.value[k] == 0:
+            return Scheme(k)
+        i, j = self.parent[k]
+        left = self.scheme(i)
+        if i == j:
+            return Scheme(k, left, left, tangent=True)
+        return Scheme(k, left, self.scheme(j))
+
+
+def _fresh_pass(table: CompositionTable, seeds) -> _MinMaxPass:
+    kernel = _MinMaxPass(table)
+    for r in seeds:
+        kernel.seed(r)
+    kernel.settle()
+    return kernel
+
+
 def _closure(
     table: CompositionTable, seeds: set[int]
 ) -> tuple[set[int], dict[int, tuple[int, int]]]:
@@ -126,33 +218,10 @@ def _closure(
 
     parents[k] = (i, j) is the lexicographically smallest producing pair in
     the earliest generation; (i, i) marks the tangent relation k = i o i.
-    A round visits only the relations with an input new in the last round.
     """
-
-    def derive(old, new, known):
-        offers = [(k, (i, j)) for r in new for (i, j), k in table.pairs_of.get(r, ())
-                  if k not in known and i in known and j in known]
-        offers += [(j, (r, r)) for r in new for j in table.tangent[r] if j not in known]
-        found: dict[int, tuple[int, int]] = {}
-        for k, pair in offers:
-            if k not in found or pair < found[k]:
-                found[k] = pair
-        return found
-
-    known, _ = semi_naive(seeds, derive)
-    return set(known), {k: pair for k, pair in known.items() if pair is not None}
-
-
-def _scheme_from_parents(
-    target: int, seeds: set[int], parents: dict[int, tuple[int, int]]
-) -> Scheme:
-    if target in seeds:
-        return Scheme(target)
-    i, j = parents[target]
-    left = _scheme_from_parents(i, seeds, parents)
-    if i == j:
-        return Scheme(target, left, left, tangent=True)
-    return Scheme(target, left, _scheme_from_parents(j, seeds, parents))
+    kernel = _fresh_pass(table, seeds)
+    reached = {k for k, v in enumerate(kernel.value) if v < math.inf}
+    return reached, {k: kernel.parent[k] for k in reached if kernel.value[k]}
 
 
 def weak_closure(table: CompositionTable, x: int) -> tuple[bool, Scheme | None]:
@@ -162,11 +231,32 @@ def weak_closure(table: CompositionTable, x: int) -> tuple[bool, Scheme | None]:
     registry point.  The scheme is minimal in closure generations, ties
     broken by smallest producing rank pair.
     """
-    seeds = set(range(1, x))
-    reached, parents = _closure(table, seeds)
-    if x not in reached:
+    kernel = _fresh_pass(table, range(1, x))
+    if kernel.value[x] == math.inf:
         return False, None
-    return True, _scheme_from_parents(x, seeds, parents)
+    return True, kernel.scheme(x)
+
+
+def _non_strong(table: CompositionTable, strong, by_height: bool = False):
+    """Yield (x, kernel) for each rank x not in strong, value[x] settled over the ranks below x."""
+    kernel = _MinMaxPass(table, by_height)
+    for x in range(1, len(table.registry) + 1):
+        if x not in strong:
+            kernel.settle(x)
+            yield x, kernel
+        kernel.seed(x)
+
+
+def cap_profile(table: CompositionTable) -> list[tuple[int, int | None]]:
+    """(x, cap(x)) for each rank x that is not strongly decomposable.
+
+    cap(x) is the least height c such that x lies in the closure of the
+    ranks below x when every value on the way, x included, has height <= c;
+    None when x is not reached at all.
+    """
+    strong = strong_decompositions(table)
+    return [(x, None if kernel.value[x] == math.inf else kernel.value[x])
+            for x, kernel in _non_strong(table, strong, by_height=True)]
 
 
 def render_scheme(scheme: Scheme) -> str:
@@ -222,16 +312,17 @@ class DecompositionReport:
 
 
 def build_report(table: CompositionTable) -> DecompositionReport:
-    """Partition the registry into strong / weak-only / generator points."""
+    """Partition the registry into strong / weak-only / generator points.
+
+    One incremental pass over the ranks in order: each non-strong rank is
+    settled only as far as its own depth over the ranks below it.
+    """
     strong = strong_decompositions(table)
     weak: dict[int, Scheme] = {}
     gens: list[int] = []
-    for x in range(1, len(table.registry) + 1):
-        if x in strong:
-            continue
-        ok, scheme = weak_closure(table, x)
-        if ok:
-            weak[x] = scheme
-        else:
+    for x, kernel in _non_strong(table, strong):
+        if kernel.value[x] == math.inf:
             gens.append(x)
+        else:
+            weak[x] = kernel.scheme(x)
     return DecompositionReport(table.registry, strong, weak, gens)

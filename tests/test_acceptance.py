@@ -58,10 +58,10 @@ def test_criterion_02_oracle_equivalence(coeff, bound):
 
 
 def test_criterion_03_strong_count(report_1100):
-    # The target value 339 could not be reproduced: exhaustive search over
-    # all height-ordered pairs yields 336, and no convention choice reaches
-    # beyond 337.  See notes/decisions.md in the workspace for the analysis.
-    # Kept at the stated target rather than weakened.
+    # The target value 339 could not be reproduced: the whole table gives 336
+    # under rank <, height < and height <= input orderings, and 338 with
+    # tangent rows from any point (README, "Tests").  Kept at the stated
+    # target rather than weakened.
     n = len(report_1100.strong)
     _verdict("strongly decomposable points number 339", n == 339, f"found {n}")
 
@@ -69,8 +69,8 @@ def test_criterion_03_strong_count(report_1100):
 def test_criterion_04_specific_relations(registry_1100, table_1100):
     # The fourth expected decomposition pairs this point with (31,4,-13,-18),
     # which ties at height 66 and sorts after it lexicographically, so it is
-    # not rank-earlier here; only 3 strong pairs exist under this ordering.
-    # See notes/decisions.md in the workspace.  Kept at the stated target.
+    # not rank-earlier here; only 3 strong pairs exist under this ordering,
+    # and all four under height <= (README, "Tests").  Kept at the stated target.
     x = registry_1100.index[(1, 28, -19, -18)]
     y = registry_1100.index[(1, 1, -1, 0)]
     tangent_ok = on_tangent_section(
@@ -88,8 +88,8 @@ def test_criterion_04_specific_relations(registry_1100, table_1100):
 
 def test_criterion_05_named_generators(registry_1100, report_1100):
     # (15,-37,5,29) is targeted as indecomposable but admits a verified weak
-    # decomposition with all leaves of smaller rank; see notes/decisions.md
-    # in the workspace.  Kept at the stated target rather than weakened.
+    # decomposition with all leaves of smaller rank; `decompose --profile`
+    # gives its cap, 1089.  Kept at the stated target rather than weakened.
     gens = set(report_1100.generator_ranks)
     targets = [(1, 0, 1, -1), (1, 1, -1, 0), (1, -1, -1, 1), (15, -37, 5, 29)]
     missing = [t for t in targets if registry_1100.index[t] not in gens]

@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubicmw import build_report, build_table, cli, enumerate_points
+from cubicmw import build_report, build_table, cli, enumerate_points, height
 from cubicmw.cli import main
 
 P3_BASE = "1,0,0,5;0,1,0,0;0,0,1,0;1,1,1,0;1,2,3,0;1,4,9,0"
@@ -150,6 +150,36 @@ def test_decompose_report(tmp_path, capsys):
         payload["strong_count"] + payload["weak_only_count"] + payload["generator_count"]
     )
     assert payload["config"]["coeffs"] == [1, 2, 3, 4]
+
+
+def test_decompose_profile(tmp_path, capsys):
+    pts = tmp_path / "pts.txt"
+    run(capsys, "enumerate", "--coeffs", "1,2,3,4", "--height", "300", "--out", str(pts))
+    argv = ["decompose", "--points", str(pts), "--coeffs", "1,2,3,4"]
+    assert run(capsys, *argv, "--report", str(tmp_path / "plain.json"))[0] == 0
+    for name in ("a", "b"):
+        code, _, _ = run(capsys, *argv, "--report", str(tmp_path / f"report_{name}.json"),
+                         "--profile", str(tmp_path / f"{name}.json"))
+        assert code == 0
+        # nothing of the profile goes into the report
+        assert (tmp_path / f"report_{name}.json").read_bytes() == (
+            tmp_path / "plain.json").read_bytes()
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    registry = enumerate_points((1, 2, 3, 4), 300)
+    report = build_report(build_table(registry))
+    plain = json.loads((tmp_path / "plain.json").read_text())
+    del plain["config"]
+    assert plain == report.to_json_dict()
+    profile = json.loads((tmp_path / "a.json").read_text())
+    assert profile["points"] == len(registry)
+    caps = profile["caps"]
+    non_strong = [x for x in range(1, len(registry) + 1) if x not in report.strong]
+    assert [c["rank"] for c in caps] == non_strong
+    for c in caps:
+        x = registry.point(c["rank"])
+        assert c["coords"] == list(x.coords) and c["height"] == height(x)
+        assert (c["cap"] is None) == (c["rank"] in report.generator_ranks)
+        assert c["cap"] is None or c["cap"] >= c["height"]
 
 
 _json_ints = st.integers(-(2**70), 2**70)
@@ -362,7 +392,8 @@ _OPTIONS = {
                   ("--out", st.sampled_from(["{out}", "{dir}"])), ("--threads", _threads)],
     "compose": [("--coeffs", _coeffs), ("--x", _vector), ("--y", _vector)],
     "decompose": [("--points", st.just("{pts}")), ("--coeffs", _coeffs),
-                  ("--report", st.sampled_from(["{out}", "{dir}"]))],
+                  ("--report", st.sampled_from(["{out}", "{dir}"])),
+                  ("--profile", st.sampled_from(["{out}", "{dir}"]))],
     "verify-relations": [("--coeffs", _coeffs), ("--height", _height), ("--trials", _count),
                          ("--threads", _threads), ("--seed", _seed)],
     "split-demo": [("--field", _field), ("--base", _base), ("--samples", _count),

@@ -1,9 +1,13 @@
+import hashlib
+import json
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubicmw import (
+    CompositionTable,
     CubicSurface,
     PointRegistry,
     build_report,
@@ -18,7 +22,15 @@ from cubicmw import (
     surface_point,
     weak_closure,
 )
-from cubicmw.decompose import OP, Scheme, _closure, evaluate_scheme
+from cubicmw.decompose import (
+    OP,
+    DecompositionReport,
+    Scheme,
+    _closure,
+    _MinMaxPass,
+    cap_profile,
+    evaluate_scheme,
+)
 from cubicmw.errors import EqualPoints, LineOnSurface, ParseError
 
 
@@ -269,9 +281,104 @@ def naive_closure(table, seeds):
 
 
 @pytest.fixture(scope="module")
-def closure_tables(table_300):
+def fermat_table():
     # on the Fermat surface at H=24 tangent rows make up most relations
-    return [table_300, build_table(enumerate_points((1, 1, 1, 1), 24))]
+    return build_table(enumerate_points((1, 1, 1, 1), 24))
+
+
+@pytest.fixture(scope="module")
+def closure_tables(table_300, fermat_table):
+    return [table_300, fermat_table]
+
+
+def scheme_from_parents(target, seeds, parents):
+    if target in seeds:
+        return Scheme(target)
+    i, j = parents[target]
+    left = scheme_from_parents(i, seeds, parents)
+    if i == j:
+        return Scheme(target, left, left, tangent=True)
+    return Scheme(target, left, scheme_from_parents(j, seeds, parents))
+
+
+def depths_from_parents(seeds, parents):
+    """Closure generation of each reached rank: the parents are in the earliest one."""
+    depth = dict.fromkeys(seeds, 0)
+
+    def of(k):
+        if k not in depth:
+            depth[k] = 1 + max(of(parents[k][0]), of(parents[k][1]))
+        return depth[k]
+
+    for k in parents:
+        of(k)
+    return depth
+
+
+def oracle_report(table):
+    """The report from one naive closure over the earlier ranks per non-strong rank."""
+    strong = strong_decompositions(table)
+    weak, gens = {}, []
+    for x in range(1, len(table.registry) + 1):
+        if x in strong:
+            continue
+        seeds = set(range(1, x))
+        reached, parents = naive_closure(table, seeds)
+        if x in reached:
+            weak[x] = scheme_from_parents(x, seeds, parents)
+        else:
+            gens.append(x)
+    return DecompositionReport(table.registry, strong, weak, gens)
+
+
+@pytest.mark.parametrize("name", ["table_300", "fermat_table", "table_1100"])
+def test_report_matches_per_target_oracle(request, name):
+    table = request.getfixturevalue(name)
+    report, oracle = build_report(table), oracle_report(table)
+    assert report.strong == oracle.strong
+    assert report.weak_witnesses == oracle.weak_witnesses
+    assert report.generator_ranks == oracle.generator_ranks
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("table_1100", "cf99a10c97fb3c66a5189df7ab47613a20c5470cc0a58fd2addd1a0aed974e96"),
+    ("fermat_table", "8121daaa335631c58890e362d8dd7729ef38338fa9363227106c388eb4290fb7"),
+], ids=["zagier-1100", "fermat-24"])
+def test_report_digest_is_pinned(request, name, digest):
+    report = build_report(request.getfixturevalue(name))
+    text = json.dumps(report.to_json_dict(), indent=1)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_incremental_pass_matches_fresh_closure(closure_tables, data):
+    """Seeds added in batches, each settled only up to a target, end at the fresh fixpoint.
+
+    After each lazy settle the target already holds its depth and witness over
+    the seeds so far, as build_report reads them.
+    """
+    table = data.draw(st.sampled_from(closure_tables))
+    n = len(table.registry)
+    kernel = _MinMaxPass(table)
+    seeds = set()
+    for batch in data.draw(st.lists(st.sets(st.integers(1, n), max_size=12), max_size=5)):
+        for r in sorted(batch - seeds):
+            kernel.seed(r)
+        seeds |= batch
+        target = data.draw(st.integers(1, n))
+        kernel.settle(target)
+        reached, parents = naive_closure(table, seeds)
+        if target in reached:
+            assert kernel.value[target] == depths_from_parents(seeds, parents)[target]
+            assert kernel.scheme(target) == scheme_from_parents(target, seeds, parents)
+        else:
+            assert kernel.value[target] == math.inf
+    kernel.settle()
+    reached, parents = naive_closure(table, seeds)
+    depth = depths_from_parents(seeds, parents)
+    assert {k: v for k, v in enumerate(kernel.value) if v < math.inf} == depth
+    assert {k: kernel.parent[k] for k in reached if k not in seeds} == parents
 
 
 @settings(max_examples=60, deadline=None)
@@ -346,3 +453,41 @@ def test_report_json_schema(table_300):
     for pairs in d["strong"].values():
         for y, z in pairs:
             assert isinstance(y, int) and isinstance(z, int)
+
+
+def naive_cap(table, x):
+    """Binary search over the heights for the least cap under which the naive closure reaches x."""
+    reg = table.registry
+    heights = sorted({height(p) for p in reg.points if height(p) >= height(reg.point(x))})
+
+    def reaches(cap):
+        low = {k for k in range(1, len(reg) + 1) if height(reg.point(k)) <= cap}
+        capped = CompositionTable(reg)
+        capped.in_vh = {p: k for p, k in table.in_vh.items() if k in low}
+        capped.tangent = {r: tuple(k for k in row if k in low) for r, row in table.tangent.items()}
+        return x in naive_closure(capped, set(range(1, x)))[0]
+
+    if not reaches(heights[-1]):
+        return None
+    lo, hi = 0, len(heights) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if reaches(heights[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return heights[lo]
+
+
+def test_caps_match_height_restricted_closure(table_300):
+    profile = cap_profile(table_300)
+    strong = strong_decompositions(table_300)
+    assert [x for x, _ in profile] == [x for x in range(1, len(table_300.registry) + 1)
+                                       if x not in strong]
+    assert profile == [(x, naive_cap(table_300, x)) for x, _ in profile]
+
+
+def test_cap_profile_at_1100(registry_1100, table_1100, report_1100):
+    caps = dict(cap_profile(table_1100))
+    assert caps[registry_1100.index[(15, -37, 5, 29)]] == 1089
+    assert [x for x, cap in caps.items() if cap is None] == report_1100.generator_ranks
