@@ -159,7 +159,7 @@ def cmd_decompose(args) -> int:
         fh.writelines(json_pieces(payload))
         fh.write("\n")
     if args.profile is not None:
-        _write_profile(table, args.profile)
+        _write_profile(table, report.strong, args.profile)
     print(
         f"points={payload['points']} strong={payload['strong_count']} "
         f"weak_only={payload['weak_only_count']} generators={payload['generator_count']}"
@@ -167,11 +167,11 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _write_profile(table, path: str) -> None:
+def _write_profile(table, strong, path: str) -> None:
     """cap(x) of each rank x that is not strongly decomposable, as JSON (null: unreached)."""
     reg = table.registry
     caps = [{"rank": x, "coords": list(reg.point(x).coords), "height": height(reg.point(x)),
-             "cap": cap} for x, cap in cap_profile(table)]
+             "cap": cap} for x, cap in cap_profile(table, strong)]
     with open(path, "w") as fh:
         fh.writelines(json_pieces({"points": len(reg), "caps": caps}))
         fh.write("\n")

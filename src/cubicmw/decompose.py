@@ -247,14 +247,13 @@ def _non_strong(table: CompositionTable, strong, by_height: bool = False):
         kernel.seed(x)
 
 
-def cap_profile(table: CompositionTable) -> list[tuple[int, int | None]]:
-    """(x, cap(x)) for each rank x that is not strongly decomposable.
+def cap_profile(table: CompositionTable, strong) -> list[tuple[int, int | None]]:
+    """(x, cap(x)) for each rank x not in strong, the table's `strong_decompositions`.
 
     cap(x) is the least height c such that x lies in the closure of the
     ranks below x when every value on the way, x included, has height <= c;
     None when x is not reached at all.
     """
-    strong = strong_decompositions(table)
     return [(x, None if kernel.value[x] == math.inf else kernel.value[x])
             for x, kernel in _non_strong(table, strong, by_height=True)]
 

@@ -9,7 +9,6 @@ the section-dependent modified composition, and projective-plane closure.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -29,7 +28,6 @@ from .errors import (
     InvalidBound,
     NotOnSection,
 )
-from .fixpoint import semi_naive
 from .geometry import (
     CubicForm,
     Field,
@@ -39,6 +37,7 @@ from .geometry import (
     line_through,
     meet,
     normalize,
+    primitive_rows,
 )
 from .linalg import det3, kernel_basis, rank
 from .planecubic import PlaneCubic, cubic_compose
@@ -295,53 +294,62 @@ def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _encode(v: np.ndarray, p: int) -> np.ndarray:
-    """One int in [0, p^2+p] per nonzero row mod p: the code of its canonical form.
+class _Codec:
+    """Points and lines of P^2 as ints: the canonical row (x, y, z) has code (x*r + y+b)*r + z+b.
 
-    (1,a,b) -> ap+b, (0,1,b) -> p^2+b, (0,0,1) -> p^2+p.  Entries are residues
-    below 2^31, so every product stays below 2^62.
+    Over F_p a row is canonical with lead 1 mod p, and r = p, b = 0.  Over Q
+    (p None) it is primitive with a positive lead, as `normalize` makes it; a
+    line through two points under the cap has entries of size at most
+    b = 2 cap^2, and r = 2b + 1.  Codes stay below (lead + 1) r^2, so codes and
+    rows are int64 when that fits (always over F_p, where p < 2^31), and
+    object arrays of Python ints otherwise.
     """
-    x, y, z = v.T
-    inv = _inverse_mod(np.where(x != 0, x, np.where(y != 0, y, z)), p)
-    return np.where(
-        x != 0, y * inv % p * p + z * inv % p, p * p + np.where(y != 0, z * inv % p, p)
-    )
 
+    def __init__(self, p: int | None, cap: int | None):
+        self.p = p
+        self.b = 0 if p is not None else 2 * cap * cap
+        self.r = p if p is not None else 2 * self.b + 1
+        lead = 1 if p is not None else self.b  # the largest lead of a canonical row
+        self.dtype = np.int64 if (lead + 1) * self.r ** 2 <= 1 << 63 else object
 
-def _decode(codes: np.ndarray, p: int) -> np.ndarray:
-    """Canonical rows of the codes; the inverse of _encode."""
-    affine = codes < p * p
-    rest = codes - p * p
-    return np.stack([
-        affine.astype(np.int64),
-        np.where(affine, codes // p, rest < p),
-        np.where(affine, codes % p, np.where(rest < p, rest, 1)),
-    ], axis=1)
+    def encode(self, raw: np.ndarray, cap: int | None = None) -> list[int]:
+        """Codes of the canonical forms of the nonzero rows of raw, dropping those above cap."""
+        p, r, b = self.p, self.r, self.b
+        if p is None:
+            v = primitive_rows(raw, np.gcd(np.gcd(raw[:, 0], raw[:, 1]), raw[:, 2]))
+            if cap is not None:
+                v = v[np.abs(v).max(axis=1) <= cap]
+        else:
+            v = raw % p
+            lead = v[np.arange(len(v)), (v != 0).argmax(axis=1)]
+            v *= _inverse_mod(lead, p)[:, None]
+            v %= p
+        return ((v[:, 0] * r + v[:, 1] + b) * r + v[:, 2] + b).tolist()
 
+    def rows(self, codes: list[int]) -> np.ndarray:
+        """The canonical rows of the codes; the inverse of encode."""
+        r, b = self.r, self.b
+        c = np.array(codes, dtype=self.dtype)
+        rest = c // r
+        return np.stack([rest // r, rest % r - b, c % r - b], axis=1)
 
-def _cross_codes(p: int, old: list[int], new: list[int]) -> set[int]:
-    """Codes of a x b mod p over the pairs of old + new that contain a member of new.
+    def cross(self, items: list[int], start: int, cap: int | None = None) -> set[int]:
+        """Codes of a x b over the pairs of items that hold a member of items[start:].
 
-    A block pairs a run of rows i with the columns j < i, about _BLOCK_PAIRS
-    pairs and never more than one row when a row alone is longer.  The codes
-    are distinct, so no pair is proportional and no cross product vanishes.
-    A line and a point of P^2 share this encoding.
-    """
-    vecs = _decode(np.array(old + new, dtype=np.int64), p)
-    n = len(vecs)
-    rows = max(1, _BLOCK_PAIRS // n)
-    found: set[int] = set()
-    for i0 in range(len(old), n, rows):
-        i1 = min(i0 + rows, n)
-        c = np.cross(vecs[i0:i1, None], vecs[None, :i1]) % p
-        found.update(_encode(c[np.arange(i1) < np.arange(i0, i1)[:, None]], p).tolist())
-    return found
-
-
-def _q_pairs(step, old: list, new: list) -> set:
-    """step(a, b) over the pairs of old + new that contain a member of new."""
-    pairs = itertools.chain(itertools.product(new, old), itertools.combinations(new, 2))
-    return {step(a, b) for a, b in pairs}
+        A block pairs a run of rows i >= start with the columns j < i, about
+        _BLOCK_PAIRS pairs and never more than one row when a row alone is
+        longer.  The codes are distinct, so no pair is proportional and no
+        cross product vanishes.  A line and a point of P^2 share this encoding.
+        """
+        vecs = self.rows(items)
+        n = len(vecs)
+        rows = max(1, _BLOCK_PAIRS // n)
+        found: set[int] = set()
+        for i0 in range(start, n, rows):
+            i1 = min(i0 + rows, n)
+            c = np.cross(vecs[i0:i1, None], vecs[None, :i1])
+            found.update(self.encode(c[np.arange(i1) < np.arange(i0, i1)[:, None]], cap))
+        return found
 
 
 def plane_closure(
@@ -352,15 +360,16 @@ def plane_closure(
 ) -> tuple[set[ProjPoint], int]:
     """Closure of the seeds under pairwise line intersections.
 
-    Rounds are semi-naive: generation g+1 joins only the point pairs that
-    contain a point new in generation g, and meets only the line pairs that
-    contain a line new in that round.  Over a prime field this runs to an
-    exact fixpoint; points and lines are coded as ints in [0, p^2+p] and the
-    cross products mod p are taken in numpy in blocks of about _BLOCK_PAIRS
-    pairs, so memory does not grow with p.  Over Q a height cap is required (and
-    only allowed there): meets above the cap are discarded, the closure is
-    a bounded portion of the true (infinite) closure, and `max_generations`
-    bounds the search.  Returns (points, generations).
+    Rounds are semi-naive (Bancilhon & Ramakrishnan, SIGMOD 1986): generation
+    g+1 joins only the point pairs that contain a point new in generation g,
+    and meets only the line pairs that contain a line new in that round.
+    Points and lines are int codes (`_Codec`), and the cross products are
+    taken in numpy in blocks of about _BLOCK_PAIRS pairs, so memory does not
+    grow with p.  Over a prime field this runs to an exact fixpoint.  Over Q a
+    height cap is required (and only allowed there): meets above the cap are
+    discarded, the closure is a bounded portion of the true (infinite)
+    closure, and `max_generations` bounds the search.  A generation counts
+    only when it adds a point.  Returns (points, generations).
     """
     if len(seeds) < 4:
         raise DegenerateSeeds("need at least four seed points")
@@ -371,13 +380,9 @@ def plane_closure(
             raise DegenerateSeeds(f"seeds {i},{j},{k} are collinear")
     if max_generations is not None and max_generations < 0:
         raise InvalidBound(f"max_generations must be >= 0, got {max_generations}")
-    p = field.p
-    if p is not None:
+    if field.p is not None:
         if height_cap is not None:
             raise InvalidBound(f"a height cap applies only over Q, not over {field}")
-        codes = _encode(np.array([s.coords for s in seeds], dtype=np.int64) % p, p)
-        seeds = codes.tolist()
-        lines_of = points_of = functools.partial(_cross_codes, p)
     else:
         if height_cap is None:
             raise DegenerateSeeds("a height cap is required over Q")
@@ -386,25 +391,19 @@ def plane_closure(
         for s in seeds:
             if max(abs(c) for c in s.coords) > height_cap:
                 raise DegenerateSeeds(f"seed {s} is above the height cap {height_cap}")
-        lines_of = functools.partial(_q_pairs, line_through)
-
-        def points_of(old, new):
-            return {x for x in _q_pairs(meet, old, new)
-                    if max(abs(c) for c in x.coords) <= height_cap}
-
-    lines: list = []
-    known_lines: set = set()
-
-    def derive(old, new, known):
-        # join the point pairs new this round, then meet the line pairs new this round
-        new_lines = list(lines_of(old, new) - known_lines)
-        found = points_of(lines, new_lines)
-        lines.extend(new_lines)
-        known_lines.update(new_lines)
-        return dict.fromkeys(found)
-
-    known, generation = semi_naive(seeds, derive, max_generations)
-    if p is None:
-        return set(known), generation
-    rows = _decode(np.array(list(known), dtype=np.int64), p).tolist()
-    return {ProjPoint(tuple(r), field) for r in rows}, generation
+    codec = _Codec(field.p, height_cap)
+    points = dict.fromkeys(codec.encode(np.array([s.coords for s in seeds], dtype=codec.dtype)))
+    lines: dict[int, None] = {}
+    start = 0  # points[start:] are new in the last generation
+    generation = 0
+    while max_generations is None or generation < max_generations:
+        # join the point pairs that hold a new point, then meet the line pairs that hold a new line
+        known = len(lines)
+        lines.update(dict.fromkeys(codec.cross(list(points), start)))
+        found = codec.cross(list(lines), known, height_cap).difference(points)
+        if not found:
+            break
+        start = len(points)
+        points.update(dict.fromkeys(found))
+        generation += 1
+    return {ProjPoint(tuple(r), field) for r in codec.rows(list(points)).tolist()}, generation

@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubicmw import build_report, build_table, cli, enumerate_points, height
+from cubicmw import build_report, build_table, cli, decompose, enumerate_points, height
 from cubicmw.cli import main
 
 P3_BASE = "1,0,0,5;0,1,0,0;0,0,1,0;1,1,1,0;1,2,3,0;1,4,9,0"
@@ -158,9 +158,12 @@ def test_decompose_profile(tmp_path, capsys):
     argv = ["decompose", "--points", str(pts), "--coeffs", "1,2,3,4"]
     assert run(capsys, *argv, "--report", str(tmp_path / "plain.json"))[0] == 0
     for name in ("a", "b"):
-        code, _, _ = run(capsys, *argv, "--report", str(tmp_path / f"report_{name}.json"),
-                         "--profile", str(tmp_path / f"{name}.json"))
-        assert code == 0
+        with mock.patch.object(decompose, "strong_decompositions",
+                               wraps=decompose.strong_decompositions) as strong:
+            code, _, _ = run(capsys, *argv, "--report", str(tmp_path / f"report_{name}.json"),
+                             "--profile", str(tmp_path / f"{name}.json"))
+        # the profile reuses the report's strong map
+        assert code == 0 and strong.call_count == 1
         # nothing of the profile goes into the report
         assert (tmp_path / f"report_{name}.json").read_bytes() == (
             tmp_path / "plain.json").read_bytes()

@@ -480,14 +480,14 @@ def naive_cap(table, x):
 
 
 def test_caps_match_height_restricted_closure(table_300):
-    profile = cap_profile(table_300)
     strong = strong_decompositions(table_300)
+    profile = cap_profile(table_300, strong)
     assert [x for x, _ in profile] == [x for x in range(1, len(table_300.registry) + 1)
                                        if x not in strong]
     assert profile == [(x, naive_cap(table_300, x)) for x, _ in profile]
 
 
 def test_cap_profile_at_1100(registry_1100, table_1100, report_1100):
-    caps = dict(cap_profile(table_1100))
+    caps = dict(cap_profile(table_1100, report_1100.strong))
     assert caps[registry_1100.index[(15, -37, 5, 29)]] == 1089
     assert [x for x, cap in caps.items() if cap is None] == report_1100.generator_ranks

@@ -4,7 +4,8 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from cubicmw import (
     Field,
@@ -317,6 +318,7 @@ def fp_closure_args(draw):
 
 @settings(max_examples=20, deadline=None)
 @given(fp_closure_args())
+@example((7, [], 0))  # zero generations: the seeds
 def test_plane_closure_matches_naive_over_fp(args):
     p, extra, max_generations = args
     field = Field(p)
@@ -336,6 +338,7 @@ def q_closure_args(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(q_closure_args())
+@example((2, [], 0))
 def test_plane_closure_matches_naive_over_q(args):
     cap, extra, max_generations = args
     seeds = [normalize(v) for v in STANDARD_SEEDS + extra]
@@ -346,10 +349,43 @@ def test_plane_closure_matches_naive_over_q(args):
 
 def test_plane_closure_tiny_blocks_match_naive(monkeypatch):
     monkeypatch.setattr(splitplane, "_BLOCK_PAIRS", 1)
-    for p, extra in ((2, []), (5, [(1, 2, 3)]), (7, [])):
-        field = Field(p)
+    for field, extra, cap, gens in ((Field(2), [], None, None),
+                                    (Field(5), [(1, 2, 3)], None, None),
+                                    (Field(7), [], None, None),
+                                    (RATIONALS, [(1, 2, 0)], 10**3, 2)):
         seeds = [normalize(v, field) for v in STANDARD_SEEDS + extra]
-        assert plane_closure(field, seeds) == naive_plane_closure(field, seeds)
+        assert plane_closure(field, seeds, cap, gens) == (
+            naive_plane_closure(field, seeds, cap, gens))
+
+
+@pytest.mark.parametrize("cap, size, generations", [(1, 13, 3), (2, 49, 4), (3, 145, 4)])
+def test_plane_closure_over_q_is_every_point_under_the_cap(cap, size, generations):
+    box = {normalize(v) for v in itertools.product(range(-cap, cap + 1), repeat=3) if any(v)}
+    assert len(box) == size
+    seeds = [normalize(v) for v in STANDARD_SEEDS]
+    assert plane_closure(RATIONALS, seeds, height_cap=cap) == (box, generations)
+
+
+# the largest cap whose codes fit in int64
+INT64_EDGE = max(c for c in range(1, 2000) if splitplane._Codec(None, c).dtype is np.int64)
+
+
+@pytest.mark.parametrize("cap", [INT64_EDGE, INT64_EDGE + 1])
+def test_codes_of_the_widest_lines_round_trip(cap):
+    # a line through two points under the cap has entries up to b = 2 cap^2
+    codec = splitplane._Codec(None, cap)
+    b = 2 * cap * cap
+    rows = [(b, b - 1, -b), (b, -b, b - 1), (1, -b, b), (0, b, 1 - b), (0, 0, 1)]
+    codes = codec.encode(np.array(rows, dtype=codec.dtype))
+    assert codec.rows(codes).tolist() == [list(r) for r in rows]
+
+
+@pytest.mark.parametrize("cap", [10**3, 10**6, 10**12])
+def test_plane_closure_object_codes_match_naive(cap):
+    assert splitplane._Codec(None, cap).dtype is object
+    seeds = [normalize(v) for v in STANDARD_SEEDS + [(1, cap, 0), (cap - 1, 2, cap)]]
+    assert plane_closure(RATIONALS, seeds, cap, 1) == (
+        naive_plane_closure(RATIONALS, seeds, cap, 1))
 
 
 def test_plane_closure_large_prime_allocates_nothing_by_p():
