@@ -9,6 +9,7 @@ the section-dependent modified composition, and projective-plane closure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -281,6 +282,13 @@ def verify_claim1(
 # threshold, so blocks reuse heap memory and the closure leaves peak RSS flat
 _BLOCK_PAIRS = 1 << 12
 
+# the time of one incidence dot over that of one cross-product pair.  Timed in
+# process on 2 vCPUs (numpy 2.4) at steps of 4,000 pairs or more: a pair costs
+# 200-355 ns over F_23, F_31, F_101 and Q caps 3-4, a dot 6.5-11 ns over F_p and
+# 4-7 ns over Q, ratios 0.019-0.048.  At --cap 50 --extra 1,2,0
+# --max-generations 2 the dots would cost 2,000 times the pairs or more
+_DOT_COST = 0.04
+
 
 def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
     """a^(p-2) mod p elementwise, the inverse of each nonzero residue (Fermat)."""
@@ -307,14 +315,27 @@ class _Codec:
 
     def __init__(self, p: int | None, cap: int | None):
         self.p = p
+        self.cap = cap
         self.b = 0 if p is not None else 2 * cap * cap
         self.r = p if p is not None else 2 * self.b + 1
         lead = 1 if p is not None else self.b  # the largest lead of a canonical row
         self.dtype = np.int64 if (lead + 1) * self.r ** 2 <= 1 << 63 else object
+        # the candidates: every point of P^2 over F_p, every point under the cap
+        # over Q; `listed` bounds their number without listing them
+        self.listed = p * p + p + 1 if p is not None else ((2 * cap + 1) ** 3 - 1) // 2
+        # incidence runs on int64 codes, and 3 max|candidate entry| max|line entry|
+        # bounds its dots: 3 (p-1)^2, or 6 cap^3 with lines up to b = 2 cap^2
+        dot = 3 * (p - 1) ** 2 if p is not None else 6 * cap ** 3
+        self.dots_fit = self.dtype is np.int64 and dot < 1 << 63
+
+    def code(self, v: np.ndarray) -> np.ndarray:
+        """The codes of canonical rows."""
+        r, b = self.r, self.b
+        return (v[:, 0] * r + v[:, 1] + b) * r + v[:, 2] + b
 
     def encode(self, raw: np.ndarray, cap: int | None = None) -> list[int]:
         """Codes of the canonical forms of the nonzero rows of raw, dropping those above cap."""
-        p, r, b = self.p, self.r, self.b
+        p = self.p
         if p is None:
             v = primitive_rows(raw, np.gcd(np.gcd(raw[:, 0], raw[:, 1]), raw[:, 2]))
             if cap is not None:
@@ -324,7 +345,18 @@ class _Codec:
             lead = v[np.arange(len(v)), (v != 0).argmax(axis=1)]
             v *= _inverse_mod(lead, p)[:, None]
             v %= p
-        return ((v[:, 0] * r + v[:, 1] + b) * r + v[:, 2] + b).tolist()
+        return self.code(v).tolist()
+
+    @functools.cached_property
+    def candidates(self) -> tuple[np.ndarray, np.ndarray]:
+        """The canonical int64 rows of the candidates, and their codes."""
+        p, c = self.p, self.cap
+        # canonical rows lie in {0, 1} x [0, p)^2 over F_p, in [-c, c]^3 over Q
+        box = (2, p, p) if p is not None else (2 * c + 1,) * 3
+        v = np.indices(box, dtype=np.int64).reshape(3, -1).T - (c if p is None else 0)
+        lead = v[np.arange(len(v)), (v != 0).argmax(axis=1)]
+        v = v[lead == 1 if p is not None else (lead > 0) & (np.gcd.reduce(v, axis=1) == 1)]
+        return v, self.code(v)
 
     def rows(self, codes: list[int]) -> np.ndarray:
         """The canonical rows of the codes; the inverse of encode."""
@@ -352,6 +384,55 @@ class _Codec:
         return found
 
 
+class _Incidence:
+    """`_Codec.cross` under one cap, or the same codes read off the listed candidates.
+
+    Two distinct lines meet in exactly one point, so the meets of the line
+    pairs that hold a member of lines[start:] are the candidates on at least
+    two lines, one of them in lines[start:]; by duality the same holds for the
+    joins of points over F_p.  Over Q the candidates are the points under the
+    cap; lines are not listed, so joins there stay pairwise.  `counts` holds
+    the number of items[:done] on each candidate, brought up to date from the
+    items added since, and the dots are taken in blocks of about
+    3 _BLOCK_PAIRS entries.  Each step takes incidence when its dots, weighted
+    by _DOT_COST, cost less than its pairs; the candidates are listed at the
+    first such step, and never when `_Codec.dots_fit` fails.
+    """
+
+    def __init__(self, codec: _Codec, cap: int | None):
+        self.codec = codec
+        self.cap = cap
+        self.listable = codec.dots_fit and (codec.p is not None or cap is not None)
+        self.counts: np.ndarray | None = None
+        self.done = 0
+
+    def cross(self, items: list[int], start: int) -> set[int]:
+        """`codec.cross(items, start, cap)`, by the cheaper kernel."""
+        n = len(items)
+        pairs = (n - start) * (n + start - 1) // 2
+        if not (self.listable and _DOT_COST * self.codec.listed * (n - self.done) < pairs):
+            return self.codec.cross(items, start, self.cap)
+        cands, codes = self.codec.candidates
+        if self.counts is None:
+            self.counts = np.zeros(len(cands), dtype=np.int64)
+        p = self.codec.p
+        vecs = self.codec.rows(items[self.done:]).astype(np.int64)
+        new = start - self.done  # vecs[new:] are items[start:]
+        hit = np.zeros(len(cands), dtype=bool)
+        k = min(len(cands), 3 * _BLOCK_PAIRS)
+        m = max(1, 3 * _BLOCK_PAIRS // k)
+        for k0 in range(0, len(cands), k):
+            for i0 in range(0, len(vecs), m):
+                d = vecs[i0:i0 + m] @ cands[k0:k0 + k].T
+                if p is not None:
+                    d -= d // p * p
+                on = d == 0
+                self.counts[k0:k0 + k] += on.sum(axis=0)
+                hit[k0:k0 + k] |= on[max(0, new - i0):].any(axis=0)
+        self.done = n
+        return set(codes[hit & (self.counts >= 2)].tolist())
+
+
 def plane_closure(
     field: Field,
     seeds: list[ProjPoint],
@@ -363,13 +444,16 @@ def plane_closure(
     Rounds are semi-naive (Bancilhon & Ramakrishnan, SIGMOD 1986): generation
     g+1 joins only the point pairs that contain a point new in generation g,
     and meets only the line pairs that contain a line new in that round.
-    Points and lines are int codes (`_Codec`), and the cross products are
-    taken in numpy in blocks of about _BLOCK_PAIRS pairs, so memory does not
-    grow with p.  Over a prime field this runs to an exact fixpoint.  Over Q a
-    height cap is required (and only allowed there): meets above the cap are
-    discarded, the closure is a bounded portion of the true (infinite)
-    closure, and `max_generations` bounds the search.  A generation counts
-    only when it adds a point.  Returns (points, generations).
+    Points and lines are int codes (`_Codec`).  Each step either takes the
+    cross products in numpy blocks of about _BLOCK_PAIRS pairs, or counts
+    incidences against the listed candidates (`_Incidence`), whichever is
+    estimated cheaper; blocks do not grow with p, and candidates are never
+    listed where incidence cannot win.  Over a prime field this runs to an
+    exact fixpoint.  Over Q a height cap is required (and only allowed
+    there): meets above the cap are discarded, the closure is a bounded
+    portion of the true (infinite) closure, and `max_generations` bounds the
+    search.  A generation counts only when it adds a point.  Returns
+    (points, generations).
     """
     if len(seeds) < 4:
         raise DegenerateSeeds("need at least four seed points")
@@ -394,13 +478,14 @@ def plane_closure(
     codec = _Codec(field.p, height_cap)
     points = dict.fromkeys(codec.encode(np.array([s.coords for s in seeds], dtype=codec.dtype)))
     lines: dict[int, None] = {}
+    joins, meets = _Incidence(codec, None), _Incidence(codec, height_cap)
     start = 0  # points[start:] are new in the last generation
     generation = 0
     while max_generations is None or generation < max_generations:
         # join the point pairs that hold a new point, then meet the line pairs that hold a new line
         known = len(lines)
-        lines.update(dict.fromkeys(codec.cross(list(points), start)))
-        found = codec.cross(list(lines), known, height_cap).difference(points)
+        lines.update(dict.fromkeys(joins.cross(list(points), start)))
+        found = meets.cross(list(lines), known).difference(points)
         if not found:
             break
         start = len(points)

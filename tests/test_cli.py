@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import time
 import tracemalloc
 from unittest import mock
 
@@ -269,6 +270,16 @@ def test_plane_closure_fp(capsys):
     code, stdout, _ = run(capsys, "plane-closure", "--field", "fp:7")
     assert code == 0
     assert "closure size 57" in stdout
+
+
+def test_plane_closure_q_cap_4_counts_incidences(capsys):
+    # pairwise meeting alone takes about 20 s on 2 vCPUs: its last round meets 85
+    # million line pairs; the incidence step takes well under a second
+    start = time.perf_counter()
+    code, stdout, _ = run(capsys, "plane-closure", "--field", "q", "--cap", "4")
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert stdout == "closure size 289 after 4 generations\n"
 
 
 def test_plane_closure_q_requires_cap(capsys):

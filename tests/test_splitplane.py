@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -308,6 +309,16 @@ def naive_plane_closure(field, seeds, height_cap=None, max_generations=None):
     return points, generation
 
 
+def each_kernel(*args):
+    """plane_closure(*args) forced pairwise, forced to incidence, and by the cost estimate."""
+    out = []
+    for cost in (math.inf, 0.0, splitplane._DOT_COST):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(splitplane, "_DOT_COST", cost)
+            out.append(plane_closure(*args))
+    return out
+
+
 @st.composite
 def fp_closure_args(draw):
     p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
@@ -323,9 +334,8 @@ def test_plane_closure_matches_naive_over_fp(args):
     p, extra, max_generations = args
     field = Field(p)
     seeds = [normalize(v, field) for v in STANDARD_SEEDS + extra]
-    assert plane_closure(field, seeds, max_generations=max_generations) == (
-        naive_plane_closure(field, seeds, max_generations=max_generations)
-    )
+    expected = naive_plane_closure(field, seeds, max_generations=max_generations)
+    assert each_kernel(field, seeds, None, max_generations) == [expected] * 3
 
 
 @st.composite
@@ -342,26 +352,42 @@ def q_closure_args(draw):
 def test_plane_closure_matches_naive_over_q(args):
     cap, extra, max_generations = args
     seeds = [normalize(v) for v in STANDARD_SEEDS + extra]
-    assert plane_closure(RATIONALS, seeds, cap, max_generations) == (
-        naive_plane_closure(RATIONALS, seeds, cap, max_generations)
-    )
+    expected = naive_plane_closure(RATIONALS, seeds, cap, max_generations)
+    assert each_kernel(RATIONALS, seeds, cap, max_generations) == [expected] * 3
 
 
 def test_plane_closure_tiny_blocks_match_naive(monkeypatch):
     monkeypatch.setattr(splitplane, "_BLOCK_PAIRS", 1)
+    # cap 10^3 has object codes, so its incidence steps fall back to pairs
     for field, extra, cap, gens in ((Field(2), [], None, None),
                                     (Field(5), [(1, 2, 3)], None, None),
                                     (Field(7), [], None, None),
+                                    (RATIONALS, [], 2, 2),
                                     (RATIONALS, [(1, 2, 0)], 10**3, 2)):
         seeds = [normalize(v, field) for v in STANDARD_SEEDS + extra]
-        assert plane_closure(field, seeds, cap, gens) == (
-            naive_plane_closure(field, seeds, cap, gens))
+        expected = naive_plane_closure(field, seeds, cap, gens)
+        assert each_kernel(field, seeds, cap, gens) == [expected] * 3
 
 
-@pytest.mark.parametrize("cap, size, generations", [(1, 13, 3), (2, 49, 4), (3, 145, 4)])
+def mobius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("cap, size, generations", [
+    (1, 13, 3), (2, 49, 4), (3, 145, 4), (4, 289, 4), (5, 577, 4), (6, 865, 4)])
 def test_plane_closure_over_q_is_every_point_under_the_cap(cap, size, generations):
     box = {normalize(v) for v in itertools.product(range(-cap, cap + 1), repeat=3) if any(v)}
-    assert len(box) == size
+    # the nonzero rows of gcd 1 in the box, up to sign
+    assert len(box) == size == sum(
+        mobius(d) * ((2 * (cap // d) + 1) ** 3 - 1) // 2 for d in range(1, cap + 1))
     seeds = [normalize(v) for v in STANDARD_SEEDS]
     assert plane_closure(RATIONALS, seeds, height_cap=cap) == (box, generations)
 
@@ -403,6 +429,51 @@ def test_plane_closure_large_prime_allocates_nothing_by_p():
     assert pts == naive_plane_closure(field, seeds, max_generations=2)[0]
     assert elapsed < 1.0
     assert peak < 1 << 20
+
+
+def test_plane_closure_large_prime_never_lists_candidates(monkeypatch):
+    # even forced to incidence, p = 2^31 - 1 fails the dot guard and stays pairwise
+    monkeypatch.setattr(splitplane, "_DOT_COST", 0.0)
+    monkeypatch.setattr(splitplane._Codec, "candidates", property(lambda codec: pytest.fail()))
+    field = Field(2147483647)
+    seeds = [normalize(v, field) for v in STANDARD_SEEDS]
+    assert plane_closure(field, seeds, max_generations=2) == (
+        naive_plane_closure(field, seeds, max_generations=2))
+
+
+# the largest p with 3 (p-1)^2 < 2^63; over Q the int64 codes (INT64_EDGE) bind
+# long before 6 cap^3 reaches 2^63
+P_DOT_EDGE = 1 + math.isqrt(((1 << 63) - 1) // 3)
+
+
+def test_incidence_guard_at_the_int64_edge():
+    assert 3 * (P_DOT_EDGE - 1) ** 2 < 1 << 63 <= 3 * P_DOT_EDGE ** 2
+    assert splitplane._Codec(P_DOT_EDGE, None).dots_fit
+    assert not splitplane._Codec(P_DOT_EDGE + 1, None).dots_fit
+    assert 6 * INT64_EDGE ** 3 < 1 << 63
+    assert splitplane._Codec(None, INT64_EDGE).dots_fit
+    assert not splitplane._Codec(None, INT64_EDGE + 1).dots_fit
+
+
+def test_incidence_dots_are_exact_at_the_edge(monkeypatch):
+    # an incidence step with entries up to p - 1 at the largest allowed p
+    # against the same incidences in Python ints; the candidates are labelled
+    # by index, since only their dots with the lines matter
+    monkeypatch.setattr(splitplane, "_DOT_COST", 0.0)
+    p, big = P_DOT_EDGE, P_DOT_EDGE - 1
+    codec = splitplane._Codec(p, None)
+    cands = np.array([(big, big, big), (1, big, big), (0, 1, big), (1, 1, 0),
+                      (1, 0, 1), (1, big, 0), (1, 1, 1), (0, 0, 1)], dtype=np.int64)
+    codec.candidates = cands, np.arange(len(cands))
+    lines = [(1, big, big), (0, 1, 1), (1, 1, 0), (1, 0, big), (0, 1, big), (1, big, 2)]
+    step = splitplane._Incidence(codec, None)
+    items = codec.code(np.array(lines, dtype=np.int64)).tolist()
+    # the second step counts lines[2:4] as known but not new, as after a pairwise round
+    for known, start in ((2, 0), (len(lines), 4)):
+        on = [[sum(a * b for a, b in zip(c, l)) % p == 0 for l in lines[:known]]
+              for c in cands.tolist()]
+        expected = {i for i, row in enumerate(on) if sum(row) >= 2 and any(row[start:])}
+        assert expected and step.cross(items[:known], start) == expected
 
 
 def test_plane_closure_rejects_cap_over_fp():
