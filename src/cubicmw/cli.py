@@ -8,6 +8,7 @@ parsable line on stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -73,6 +74,7 @@ def _add_threads(sub):
 
 
 def cmd_enumerate(args) -> int:
+    _check_writable(args.out)
     reg = enumerate_points(args.coeffs, args.height, threads=_threads(args))
     # header stays independent of the thread count so reruns are byte-identical
     save_registry(reg, args.out, extra_header=[f"# tool: cubicmw {__version__}"])
@@ -145,7 +147,18 @@ def _int_rows(obj) -> tuple[int, ...]:
     return flat if {*map(type, flat)} == {int} else ()
 
 
+def _check_writable(*paths) -> None:
+    """Fail before any work if an output path is a directory or its directory is missing."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise FileNotFoundError(errno.ENOENT, "no such directory", folder)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, "is a directory", path)
+
+
 def cmd_decompose(args) -> int:
+    _check_writable(args.report, args.profile)
     reg = load_registry(args.points, args.coeffs)
     table = build_table(reg)
     report = build_report(table)

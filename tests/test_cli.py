@@ -186,6 +186,31 @@ def test_decompose_profile(tmp_path, capsys):
         assert c["cap"] is None or c["cap"] >= c["height"]
 
 
+@pytest.mark.parametrize("report, profile", [
+    ("report.json", "no/such/dir/p.json"),
+    ("no/such/dir/report.json", "p.json"),
+    ("report.json", "."),
+], ids=["profile-dir-missing", "report-dir-missing", "profile-is-a-dir"])
+def test_decompose_bad_output_path_fails_before_any_work(tmp_path, capsys, report, profile):
+    pts = tmp_path / "pts.txt"
+    run(capsys, "enumerate", "--coeffs", "1,2,3,4", "--height", "60", "--out", str(pts))
+    with mock.patch.object(cli, "load_registry") as load:
+        code, stdout, stderr = run(capsys, "decompose", "--points", str(pts),
+                                   "--coeffs", "1,2,3,4", "--report", str(tmp_path / report),
+                                   "--profile", str(tmp_path / profile))
+    assert code == 1 and not load.called and stdout == ""
+    assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pts.txt"]
+
+
+def test_enumerate_into_missing_directory_fails_before_any_work(tmp_path, capsys):
+    with mock.patch.object(cli, "enumerate_points") as enumerate_:
+        code, _, stderr = run(capsys, "enumerate", "--coeffs", "1,2,3,4", "--height", "60",
+                              "--out", str(tmp_path / "no" / "pts.txt"))
+    assert code == 1 and not enumerate_.called
+    assert stderr.startswith("error: FileNotFoundError: ") and len(stderr.splitlines()) == 1
+
+
 _json_ints = st.integers(-(2**70), 2**70)
 _json_str = st.text(st.characters() | st.sampled_from('∘"\\/\x00\x1f\n\t\x7f'), max_size=8)
 _json_rows = st.integers(1, 4).flatmap(

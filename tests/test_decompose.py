@@ -22,6 +22,7 @@ from cubicmw import (
     surface_point,
     weak_closure,
 )
+from cubicmw import decompose, surface
 from cubicmw.decompose import (
     OP,
     DecompositionReport,
@@ -32,6 +33,7 @@ from cubicmw.decompose import (
     evaluate_scheme,
 )
 from cubicmw.errors import EqualPoints, LineOnSurface, ParseError
+from cubicmw.surface import point_rows
 
 
 @pytest.fixture(scope="module")
@@ -168,20 +170,61 @@ def evaluate_parsed(registry, tree) -> set[tuple[int, ...]]:
     return out
 
 
+def table_items(table):
+    """The table's outcomes, with in_vh and tangent in insertion order."""
+    return list(table.in_vh.items()), table.undefined, list(table.tangent.items())
+
+
+def oracle_items(registry):
+    in_vh, undefined, tangent = table_by_pairs(registry)
+    return list(in_vh.items()), undefined, list(tangent.items())
+
+
 @pytest.mark.parametrize("coeffs, bound", [((1, 2, 3, 4), 300), ((1, 1, 1, 1), 24)])
 def test_table_matches_pair_oracle(coeffs, bound):
     registry = enumerate_points(coeffs, bound)
-    table = build_table(registry)
-    assert (table.in_vh, table.undefined, table.tangent) == table_by_pairs(registry)
+    # table_by_pairs inserts in row-major order, and so must build_table
+    assert table_items(build_table(registry)) == oracle_items(registry)
 
 
 def test_table_matches_pair_oracle_beyond_int64(big_registry, big_table):
     xmax = max(abs(c) for x in big_registry.points for c in x.coords)
     assert xmax**4 > 2**63
     table = big_table
-    assert (table.in_vh, table.undefined, table.tangent) == table_by_pairs(big_registry)
+    assert table_items(table) == oracle_items(big_registry)
     assert table.undefined
     assert any(height(big_registry.point(k)) > 10**6 for k in table.in_vh.values())
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("name", ["registry_300", "fermat_registry", "big_registry"])
+def test_table_in_small_blocks_matches_pair_oracle(request, monkeypatch, name, block):
+    """The two tests above at the default _BLOCK, here with a block edge every row or few."""
+    registry = request.getfixturevalue(name)
+    monkeypatch.setattr(decompose, "_BLOCK", block)
+    assert table_items(build_table(registry)) == oracle_items(registry)
+
+
+@pytest.mark.parametrize("block", [7, decompose._BLOCK])
+def test_table_on_object_rows_matches_int64(monkeypatch, registry_300, table_300, block):
+    # 94 points make 4371 pairs: more than one block at the default size
+    assert len(registry_300) * (len(registry_300) - 1) // 2 > decompose._BLOCK
+    monkeypatch.setattr(surface, "_INT64_BOUND", 0)
+    monkeypatch.setattr(decompose, "_BLOCK", block)
+    P, G = point_rows(registry_300.surface.form, registry_300.points)
+    assert P.dtype == G.dtype == object
+    assert table_items(build_table(registry_300)) == table_items(table_300)
+
+
+@pytest.mark.parametrize("name, in_registry, undefined, tangent_entries", [
+    ("table_1100", 2133, 0, 225),
+    ("fermat_table", 8178, 12558, 25506),
+], ids=["zagier-1100", "fermat-24"])
+def test_table_outcome_counts(request, name, in_registry, undefined, tangent_entries):
+    table = request.getfixturevalue(name)
+    assert len(table.in_vh) == in_registry
+    assert len(table.undefined) == undefined
+    assert sum(map(len, table.tangent.values())) == tangent_entries
 
 
 def test_table_holds_plain_ints(table_300, big_table):
@@ -281,9 +324,14 @@ def naive_closure(table, seeds):
 
 
 @pytest.fixture(scope="module")
-def fermat_table():
+def fermat_registry():
+    return enumerate_points((1, 1, 1, 1), 24)
+
+
+@pytest.fixture(scope="module")
+def fermat_table(fermat_registry):
     # on the Fermat surface at H=24 tangent rows make up most relations
-    return build_table(enumerate_points((1, 1, 1, 1), 24))
+    return build_table(fermat_registry)
 
 
 @pytest.fixture(scope="module")
