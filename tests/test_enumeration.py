@@ -1,14 +1,18 @@
+import collections
+import itertools
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubicmw import (
+    CubicSurface,
     brute_force_oracle,
     enumerate_points,
     enumeration,
@@ -116,10 +120,46 @@ def test_join_matches_oracle(coeff, bound):
     )
 
 
+@pytest.mark.parametrize("entries", [7, 300])
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(nonzero, nonzero, nonzero, nonzero), st.integers(1, 40))
+def test_pruned_ranges_match_oracle(entries, coeff, bound):
+    # small ranges put most values in ranges with lo > 0, where both sides
+    # drop their entries above the height cap
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumeration, "_CHUNK_ENTRIES", entries)
+        expected = coords(brute_force_oracle(coeff, bound))
+        for threads in (1, 3):
+            assert coords(enumerate_points(coeff, bound, threads)) == expected
+
+
+@pytest.mark.parametrize(
+    "coeff, point", [((1, 7, -8, -1), (2, 0, 1, 0)), ((-8, -1, 1, 7), (1, 0, 2, 0))]
+)
+def test_point_at_the_height_cap_is_kept(monkeypatch, coeff, point):
+    # pair value 8 = 1*2^3 = 8*1^3.  The side of peak 8 reaches any lo <= 8 at
+    # height 1, so for 0 < lo <= 8 the other side's cap is 3 - 1 = 2: exactly
+    # the height of its entry +-(2, 0)
+    join_range = enumeration._join_range
+    ranges = []
+
+    def spy(sides, lo, hi, first, stop, n):
+        ranges.append((lo, hi))
+        return join_range(sides, lo, hi, first, stop, n)
+
+    monkeypatch.setattr(enumeration, "_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(enumeration, "_join_range", spy)
+    reg = enumerate_points(coeff, 3)
+    assert point in reg.index
+    assert any(0 < lo <= 8 < hi for lo, hi in ranges)
+    assert coords(reg) == coords(brute_force_oracle(coeff, 3))
+
+
 def test_tiny_chunks_match_oracle(monkeypatch):
     join_range = enumeration._join_range
-    # 2*24*25 + 1 = 1201 pair entries a side: 172 ranges of 7, or 5 of 300
-    for entries, zero_is_edge in ((7, True), (300, False)):
+    # 2*24*25 + 1 = 1201 pair entries a side, about 3/8 of them below the
+    # height caps: 65 ranges of 7 (some of them empty), or 3 of 200
+    for entries, zero_is_edge in ((7, True), (200, False)):
         ranges = set()
 
         def spy(sides, lo, hi, first, stop, n):
@@ -144,10 +184,19 @@ def test_tiny_chunks_match_oracle(monkeypatch):
 
 @pytest.mark.parametrize("entries, threads", [(7, (1, 2, 3, 7)), (300, (1, 4, 6))])
 def test_thread_blocks_cover_the_ranges(monkeypatch, entries, threads):
-    # at 300 entries only 3 of the 5 ranges reach s >= 0: 4 and 6 threads
-    # exceed them, and each worker still gets a block of its own
+    # at 300 entries only 1 of the 2 ranges reaches s >= 0: 4 and 6 threads
+    # exceed it, and each worker still gets a block of its own
     walk = enumeration._walk
     monkeypatch.setattr(enumeration, "_CHUNK_ENTRIES", entries)
+    expected = coords(brute_force_oracle((1, -1, 2, -2), 24))
+
+    # a side of peak A needs height h(s) = min{h : A*h^3 >= s} to reach s, and
+    # no point has a pair value s with h_L(s) + h_R(s) > 24: the walk ends there
+    def least_height(s, peak):
+        return next(h for h in itertools.count() if peak * h**3 >= s)
+
+    end = next(s for s in itertools.count(1) if least_height(s, 1) + least_height(s, 2) > 24)
+    assert all(abs(x1**3 - x2**3) < end for x1, x2, _, _ in expected)
     results = []
     for t in threads:
         blocks = []
@@ -162,14 +211,35 @@ def test_thread_blocks_cover_the_ranges(monkeypatch, entries, threads):
         ranges = [r for block in blocks for r in block]
         assert all(blocks) and len(blocks) == min(t, len(ranges))
         assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-        assert ranges[-1][1] == 24**3 + 1 and ranges[0][0] <= 0
-    assert results == [coords(brute_force_oracle((1, -1, 2, -2), 24))] * len(threads)
+        assert ranges[-1][1] == end and ranges[0][0] <= 0
+    assert results == [expected] * len(threads)
+
+
+def test_two_threads_share_the_keys(monkeypatch):
+    # each of the two blocks joins a similar number of pruned entries
+    join_range = enumeration._join_range
+    keys = collections.Counter()
+
+    def spy(sides, lo, hi, first, stop, n):
+        keys[threading.get_ident()] += sum(n)
+        return join_range(sides, lo, hi, first, stop, n)
+
+    monkeypatch.setattr(enumeration, "_join_range", spy)
+    results = []
+    for threads in (1, 2, 3):
+        keys.clear()
+        results.append(coords(enumerate_points(ZAGIER, 2200, threads=threads)))
+        if threads == 2:
+            low, high = sorted(keys.values())
+            assert high <= 2 * low
+    assert results[0] == results[1] == results[2]
 
 
 @pytest.mark.parametrize("bound", [3, 6])
 def test_wide_value_range_is_split_to_fit(monkeypatch, bound):
-    # values up to 2^50 * 216 in one range: its packed key needs 59 bits of
-    # value, 8 of index and a tag bit, so the range is joined in pieces
+    # a is the largest the 2^62 check allows: the range holding 0 reaches
+    # pair values a (bound 3) or 27a (bound 6), so its keys need 59 or 60
+    # bits of value, 5 or more of index and a tag bit: it is joined in pieces
     join_range = enumeration._join_range
     budget = []
 
@@ -180,7 +250,8 @@ def test_wide_value_range_is_split_to_fit(monkeypatch, bound):
         return join_range(sides, lo, hi, first, stop, n)
 
     monkeypatch.setattr(enumeration, "_join_range", spy)
-    coeff = (2**50, 1, -1, -(2**50))
+    a = (2**62 - 1) // bound**3 - 1
+    coeff = (a, 1, -1, -a)
     assert coords(enumerate_points(coeff, bound)) == coords(brute_force_oracle(coeff, bound))
     assert len(budget) > 1 and max(budget) <= 62
 
@@ -266,6 +337,12 @@ def test_on_surface_check_survives_optimize():
         env={**os.environ, "PYTHONPATH": SRC},
     )
     assert out.stdout == "refused\n", out.stderr
+
+
+def test_on_surface_check_does_not_wrap():
+    # 4 * 2^62 is 0 in int64 arithmetic
+    with pytest.raises(NotOnSurface):
+        enumeration._sorted_registry(CubicSurface.diagonal((2**62,) * 4), 4, [(1, 1, 1, 1)])
 
 
 def test_monotonicity_in_bound():
