@@ -282,16 +282,14 @@ def verify_claim1(
 # threshold, so blocks reuse heap memory and the closure leaves peak RSS flat
 _BLOCK_PAIRS = 1 << 12
 
-# the time of one incidence dot over that of one cross-product pair.  Timed in
-# process on 2 vCPUs (numpy 2.4) at steps of 4,000 pairs or more: a pair costs
-# 200-355 ns over F_23, F_31, F_101 and Q caps 3-4, a dot 6.5-11 ns over F_p and
-# 4-7 ns over Q, ratios 0.019-0.048.  At --cap 50 --extra 1,2,0
-# --max-generations 2 the dots would cost 2,000 times the pairs or more
-_DOT_COST = 0.04
-
-
 def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """a^(p-2) mod p elementwise, the inverse of each nonzero residue (Fermat)."""
+    """a^(p-2) mod p elementwise, the inverse of each nonzero residue (Fermat).
+
+    When a holds more entries than there are residues, each residue is
+    inverted once and a looks its inverse up.
+    """
+    if len(a) > p:
+        return _inverse_mod(np.arange(p), p)[a]
     out = np.ones_like(a)
     e = p - 2
     while e:
@@ -311,6 +309,10 @@ class _Codec:
     b = 2 cap^2, and r = 2b + 1.  Codes stay below (lead + 1) r^2, so codes and
     rows are int64 when that fits (always over F_p, where p < 2^31), and
     object arrays of Python ints otherwise.
+
+    The candidates of a closure are every point of P^2 over F_p and every
+    point under the cap over Q.  `cross` meets or joins pairs of items;
+    `meets` reads the meets of the known lines off the candidates instead.
     """
 
     def __init__(self, p: int | None, cap: int | None):
@@ -320,20 +322,19 @@ class _Codec:
         self.r = p if p is not None else 2 * self.b + 1
         lead = 1 if p is not None else self.b  # the largest lead of a canonical row
         self.dtype = np.int64 if (lead + 1) * self.r ** 2 <= 1 << 63 else object
-        # the candidates: every point of P^2 over F_p, every point under the cap
-        # over Q; `listed` bounds their number without listing them
-        self.listed = p * p + p + 1 if p is not None else ((2 * cap + 1) ** 3 - 1) // 2
-        # incidence runs on int64 codes, and 3 max|candidate entry| max|line entry|
-        # bounds its dots: 3 (p-1)^2, or 6 cap^3 with lines up to b = 2 cap^2
-        dot = 3 * (p - 1) ** 2 if p is not None else 6 * cap ** 3
-        self.dots_fit = self.dtype is np.int64 and dot < 1 << 63
+
+    @property
+    def listed(self) -> int:
+        """A bound on the number of candidates, found without listing them."""
+        p = self.p
+        return p * p + p + 1 if p is not None else ((2 * self.cap + 1) ** 3 - 1) // 2
 
     def code(self, v: np.ndarray) -> np.ndarray:
         """The codes of canonical rows."""
         r, b = self.r, self.b
         return (v[:, 0] * r + v[:, 1] + b) * r + v[:, 2] + b
 
-    def encode(self, raw: np.ndarray, cap: int | None = None) -> list[int]:
+    def encode(self, raw: np.ndarray, cap: int | None = None) -> np.ndarray:
         """Codes of the canonical forms of the nonzero rows of raw, dropping those above cap."""
         p = self.p
         if p is None:
@@ -345,7 +346,7 @@ class _Codec:
             lead = v[np.arange(len(v)), (v != 0).argmax(axis=1)]
             v *= _inverse_mod(lead, p)[:, None]
             v %= p
-        return self.code(v).tolist()
+        return self.code(v)
 
     @functools.cached_property
     def candidates(self) -> tuple[np.ndarray, np.ndarray]:
@@ -380,57 +381,31 @@ class _Codec:
         for i0 in range(start, n, rows):
             i1 = min(i0 + rows, n)
             c = np.cross(vecs[i0:i1, None], vecs[None, :i1])
-            found.update(self.encode(c[np.arange(i1) < np.arange(i0, i1)[:, None]], cap))
+            found.update(self.encode(c[np.arange(i1) < np.arange(i0, i1)[:, None]], cap).tolist())
         return found
 
+    def meets(self, known: list[int]) -> set[int]:
+        """Codes of the candidates outside known that lie on two lines through two known points.
 
-class _Incidence:
-    """`_Codec.cross` under one cap, or the same codes read off the listed candidates.
-
-    Two distinct lines meet in exactly one point, so the meets of the line
-    pairs that hold a member of lines[start:] are the candidates on at least
-    two lines, one of them in lines[start:]; by duality the same holds for the
-    joins of points over F_p.  Over Q the candidates are the points under the
-    cap; lines are not listed, so joins there stay pairwise.  `counts` holds
-    the number of items[:done] on each candidate, brought up to date from the
-    items added since, and the dots are taken in blocks of about
-    3 _BLOCK_PAIRS entries.  Each step takes incidence when its dots, weighted
-    by _DOT_COST, cost less than its pairs; the candidates are listed at the
-    first such step, and never when `_Codec.dots_fit` fails.
-    """
-
-    def __init__(self, codec: _Codec, cap: int | None):
-        self.codec = codec
-        self.cap = cap
-        self.listable = codec.dots_fit and (codec.p is not None or cap is not None)
-        self.counts: np.ndarray | None = None
-        self.done = 0
-
-    def cross(self, items: list[int], start: int) -> set[int]:
-        """`codec.cross(items, start, cap)`, by the cheaper kernel."""
-        n = len(items)
-        pairs = (n - start) * (n + start - 1) // 2
-        if not (self.listable and _DOT_COST * self.codec.listed * (n - self.done) < pairs):
-            return self.codec.cross(items, start, self.cap)
-        cands, codes = self.codec.candidates
-        if self.counts is None:
-            self.counts = np.zeros(len(cands), dtype=np.int64)
-        p = self.codec.p
-        vecs = self.codec.rows(items[self.done:]).astype(np.int64)
-        new = start - self.done  # vecs[new:] are items[start:]
+        Two distinct lines meet in exactly one point, so a candidate q is a
+        meet of two such lines exactly when the lines from q to the known
+        points, sorted, hold two runs of length two or more.  No line is kept,
+        so no join step is needed.  A block crosses a run of candidates with every known point, about
+        _BLOCK_PAIRS pairs and never less than one candidate.
+        """
+        cands, codes = self.candidates
+        new = ~np.isin(codes, known)
+        cands, codes = cands[new], codes[new]
+        vecs = self.rows(known)
+        n = len(vecs)
+        rows = max(1, _BLOCK_PAIRS // n)
         hit = np.zeros(len(cands), dtype=bool)
-        k = min(len(cands), 3 * _BLOCK_PAIRS)
-        m = max(1, 3 * _BLOCK_PAIRS // k)
-        for k0 in range(0, len(cands), k):
-            for i0 in range(0, len(vecs), m):
-                d = vecs[i0:i0 + m] @ cands[k0:k0 + k].T
-                if p is not None:
-                    d -= d // p * p
-                on = d == 0
-                self.counts[k0:k0 + k] += on.sum(axis=0)
-                hit[k0:k0 + k] |= on[max(0, new - i0):].any(axis=0)
-        self.done = n
-        return set(codes[hit & (self.counts >= 2)].tolist())
+        for k0 in range(0, len(cands), rows):
+            c = np.cross(cands[k0:k0 + rows, None], vecs[None])
+            lines = np.sort(self.encode(c.reshape(-1, 3)).reshape(len(c), n), axis=1)
+            same = lines[:, 1:] == lines[:, :-1]  # runs of two or more start where same turns on
+            hit[k0:k0 + rows] = same[:, 0] + (same[:, 1:] > same[:, :-1]).sum(axis=1) >= 2
+        return set(codes[hit].tolist())
 
 
 def plane_closure(
@@ -441,24 +416,29 @@ def plane_closure(
 ) -> tuple[set[ProjPoint], int]:
     """Closure of the seeds under pairwise line intersections.
 
-    Rounds are semi-naive (Bancilhon & Ramakrishnan, SIGMOD 1986): generation
-    g+1 joins only the point pairs that contain a point new in generation g,
-    and meets only the line pairs that contain a line new in that round.
-    Points and lines are int codes (`_Codec`).  Each step either takes the
-    cross products in numpy blocks of about _BLOCK_PAIRS pairs, or counts
-    incidences against the listed candidates (`_Incidence`), whichever is
-    estimated cheaper; blocks do not grow with p, and candidates are never
-    listed where incidence cannot win.  Over a prime field this runs to an
-    exact fixpoint.  Over Q a height cap is required (and only allowed
-    there): meets above the cap are discarded, the closure is a bounded
-    portion of the true (infinite) closure, and `max_generations` bounds the
-    search.  A generation counts only when it adds a point.  Returns
-    (points, generations).
+    Rounds start semi-naive (Bancilhon & Ramakrishnan, SIGMOD 1986):
+    generation g+1 joins only the point pairs that contain a point new in
+    generation g, and meets only the line pairs that contain a line new in
+    that round, in numpy blocks of about _BLOCK_PAIRS pairs that do not grow
+    with p.  Points and lines are int codes (`_Codec`).  Once, before its
+    joins, a round would meet more line pairs (about joins^2 / 2) than there
+    are candidates times known points, every later round counts the known
+    lines through each candidate instead (`_Codec.meets`), and keeps no
+    lines.  Both find the points off the known ones that lie on two known
+    lines, so the switch does not change the result; where the candidates
+    cannot be listed (p = 2^31 - 1, large caps) the rounds stay pairwise.
+    Over a prime field this runs to an exact fixpoint.  Over Q a height cap
+    is required (and only allowed there): meets above the cap are discarded,
+    the closure is a bounded portion of the true (infinite) closure, and
+    `max_generations` bounds the search.  A generation counts only when it
+    adds a point.  Returns (points, generations).
     """
     if len(seeds) < 4:
         raise DegenerateSeeds("need at least four seed points")
     if any(s.dim != 3 for s in seeds):
         raise DimensionMismatch("plane closure needs points of P^2")
+    if any(s.field != field for s in seeds):
+        raise DimensionMismatch(f"plane closure over {field} needs seeds over {field}")
     for i, j, k in itertools.combinations(range(4), 3):
         if _collinear(seeds[i], seeds[j], seeds[k], field.p):
             raise DegenerateSeeds(f"seeds {i},{j},{k} are collinear")
@@ -476,19 +456,26 @@ def plane_closure(
             if max(abs(c) for c in s.coords) > height_cap:
                 raise DegenerateSeeds(f"seed {s} is above the height cap {height_cap}")
     codec = _Codec(field.p, height_cap)
-    points = dict.fromkeys(codec.encode(np.array([s.coords for s in seeds], dtype=codec.dtype)))
+    seed_rows = np.array([s.coords for s in seeds], dtype=codec.dtype)
+    points = dict.fromkeys(codec.encode(seed_rows).tolist())
     lines: dict[int, None] = {}
-    joins, meets = _Incidence(codec, None), _Incidence(codec, height_cap)
+    counting = False
     start = 0  # points[start:] are new in the last generation
     generation = 0
     while max_generations is None or generation < max_generations:
-        # join the point pairs that hold a new point, then meet the line pairs that hold a new line
-        known = len(lines)
-        lines.update(dict.fromkeys(joins.cross(list(points), start)))
-        found = meets.cross(list(lines), known).difference(points)
+        n = len(points)
+        joins = (n - start) * (n + start - 1) // 2
+        counting = counting or 2 * codec.listed * n < joins * joins
+        if counting:
+            found = codec.meets(list(points))
+        else:
+            # join the point pairs that hold a new point, then meet the line pairs that hold a new line
+            known = len(lines)
+            lines.update(dict.fromkeys(codec.cross(list(points), start)))
+            found = codec.cross(list(lines), known, height_cap).difference(points)
         if not found:
             break
-        start = len(points)
+        start = n
         points.update(dict.fromkeys(found))
         generation += 1
     return {ProjPoint(tuple(r), field) for r in codec.rows(list(points)).tolist()}, generation

@@ -299,7 +299,8 @@ def test_plane_closure_fp(capsys):
 
 def test_plane_closure_q_cap_4_counts_incidences(capsys):
     # pairwise meeting alone takes about 20 s on 2 vCPUs: its last round meets 85
-    # million line pairs; the incidence step takes well under a second
+    # million line pairs; counting the known lines through each point under the
+    # cap takes well under a second
     start = time.perf_counter()
     code, stdout, _ = run(capsys, "plane-closure", "--field", "q", "--cap", "4")
     assert time.perf_counter() - start < 5.0
@@ -437,8 +438,7 @@ _OPTIONS = {
                          ("--threads", _threads), ("--seed", _seed)],
     "split-demo": [("--field", _field), ("--base", _base), ("--samples", _count),
                    ("--seed", _seed)],
-    # over Q a cap of 3 already meets about 5 million line pairs
-    "plane-closure": [("--field", _field), ("--cap", st.integers(-1, 2).map(str)),
+    "plane-closure": [("--field", _field), ("--cap", st.integers(-1, 8).map(str)),
                       ("--extra", _vector), ("--max-generations", _count)],
 }
 _ALWAYS = {"--height", "--trials", "--samples"}

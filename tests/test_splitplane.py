@@ -309,12 +309,17 @@ def naive_plane_closure(field, seeds, height_cap=None, max_generations=None):
     return points, generation
 
 
-def each_kernel(*args):
-    """plane_closure(*args) forced pairwise, forced to incidence, and by the cost estimate."""
+def each_kernel(*args, listed=(math.inf, 0, None)):
+    """plane_closure(*args) under each candidate count the switch may read.
+
+    math.inf keeps every round pairwise, 0 counts from the first round, and
+    None leaves the count, and so the switch, as it is.
+    """
     out = []
-    for cost in (math.inf, 0.0, splitplane._DOT_COST):
+    for bound in listed:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(splitplane, "_DOT_COST", cost)
+            if bound is not None:
+                mp.setattr(splitplane._Codec, "listed", bound)
             out.append(plane_closure(*args))
     return out
 
@@ -358,15 +363,16 @@ def test_plane_closure_matches_naive_over_q(args):
 
 def test_plane_closure_tiny_blocks_match_naive(monkeypatch):
     monkeypatch.setattr(splitplane, "_BLOCK_PAIRS", 1)
-    # cap 10^3 has object codes, so its incidence steps fall back to pairs
     for field, extra, cap, gens in ((Field(2), [], None, None),
                                     (Field(5), [(1, 2, 3)], None, None),
                                     (Field(7), [], None, None),
                                     (RATIONALS, [], 2, 2),
                                     (RATIONALS, [(1, 2, 0)], 10**3, 2)):
+        # counting at cap 10^3 would list its 4 * 10^9 candidates, so it is not forced there
+        listed = (math.inf, None) if cap == 10**3 else (math.inf, 0, None)
         seeds = [normalize(v, field) for v in STANDARD_SEEDS + extra]
         expected = naive_plane_closure(field, seeds, cap, gens)
-        assert each_kernel(field, seeds, cap, gens) == [expected] * 3
+        assert each_kernel(field, seeds, cap, gens, listed=listed) == [expected] * len(listed)
 
 
 def mobius(n):
@@ -382,14 +388,24 @@ def mobius(n):
 
 
 @pytest.mark.parametrize("cap, size, generations", [
-    (1, 13, 3), (2, 49, 4), (3, 145, 4), (4, 289, 4), (5, 577, 4), (6, 865, 4)])
+    (1, 13, 3), (2, 49, 4), (3, 145, 4), (4, 289, 4), (5, 577, 4), (6, 865, 4),
+    (7, 1441, 4), (8, 2017, 5), (9, 2881, 5), (10, 3745, 5), (11, 5185, 5), (12, 6337, 5)])
 def test_plane_closure_over_q_is_every_point_under_the_cap(cap, size, generations):
     box = {normalize(v) for v in itertools.product(range(-cap, cap + 1), repeat=3) if any(v)}
     # the nonzero rows of gcd 1 in the box, up to sign
     assert len(box) == size == sum(
         mobius(d) * ((2 * (cap // d) + 1) ** 3 - 1) // 2 for d in range(1, cap + 1))
     seeds = [normalize(v) for v in STANDARD_SEEDS]
-    assert plane_closure(RATIONALS, seeds, height_cap=cap) == (box, generations)
+    tracemalloc.start()
+    try:
+        closure = plane_closure(RATIONALS, seeds, height_cap=cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert closure == (box, generations)
+    # cap 12 peaks near 4 MB traced, most of it the returned points; listing
+    # every line through two known points took about 1 GB
+    assert peak < 8 << 20
 
 
 # the largest cap whose codes fit in int64
@@ -432,8 +448,7 @@ def test_plane_closure_large_prime_allocates_nothing_by_p():
 
 
 def test_plane_closure_large_prime_never_lists_candidates(monkeypatch):
-    # even forced to incidence, p = 2^31 - 1 fails the dot guard and stays pairwise
-    monkeypatch.setattr(splitplane, "_DOT_COST", 0.0)
+    # p^2 + p + 1 candidates never cost less than the pairs of two generations
     monkeypatch.setattr(splitplane._Codec, "candidates", property(lambda codec: pytest.fail()))
     field = Field(2147483647)
     seeds = [normalize(v, field) for v in STANDARD_SEEDS]
@@ -441,39 +456,16 @@ def test_plane_closure_large_prime_never_lists_candidates(monkeypatch):
         naive_plane_closure(field, seeds, max_generations=2))
 
 
-# the largest p with 3 (p-1)^2 < 2^63; over Q the int64 codes (INT64_EDGE) bind
-# long before 6 cap^3 reaches 2^63
-P_DOT_EDGE = 1 + math.isqrt(((1 << 63) - 1) // 3)
-
-
-def test_incidence_guard_at_the_int64_edge():
-    assert 3 * (P_DOT_EDGE - 1) ** 2 < 1 << 63 <= 3 * P_DOT_EDGE ** 2
-    assert splitplane._Codec(P_DOT_EDGE, None).dots_fit
-    assert not splitplane._Codec(P_DOT_EDGE + 1, None).dots_fit
-    assert 6 * INT64_EDGE ** 3 < 1 << 63
-    assert splitplane._Codec(None, INT64_EDGE).dots_fit
-    assert not splitplane._Codec(None, INT64_EDGE + 1).dots_fit
-
-
-def test_incidence_dots_are_exact_at_the_edge(monkeypatch):
-    # an incidence step with entries up to p - 1 at the largest allowed p
-    # against the same incidences in Python ints; the candidates are labelled
-    # by index, since only their dots with the lines matter
-    monkeypatch.setattr(splitplane, "_DOT_COST", 0.0)
-    p, big = P_DOT_EDGE, P_DOT_EDGE - 1
-    codec = splitplane._Codec(p, None)
-    cands = np.array([(big, big, big), (1, big, big), (0, 1, big), (1, 1, 0),
-                      (1, 0, 1), (1, big, 0), (1, 1, 1), (0, 0, 1)], dtype=np.int64)
-    codec.candidates = cands, np.arange(len(cands))
-    lines = [(1, big, big), (0, 1, 1), (1, 1, 0), (1, 0, big), (0, 1, big), (1, big, 2)]
-    step = splitplane._Incidence(codec, None)
-    items = codec.code(np.array(lines, dtype=np.int64)).tolist()
-    # the second step counts lines[2:4] as known but not new, as after a pairwise round
-    for known, start in ((2, 0), (len(lines), 4)):
-        on = [[sum(a * b for a, b in zip(c, l)) % p == 0 for l in lines[:known]]
-              for c in cands.tolist()]
-        expected = {i for i, row in enumerate(on) if sum(row) >= 2 and any(row[start:])}
-        assert expected and step.cross(items[:known], start) == expected
+@pytest.mark.parametrize("field, other", [(RATIONALS, Field(7)), (Field(7), RATIONALS),
+                                          (Field(7), Field(5))])
+def test_plane_closure_rejects_seeds_over_another_field(field, other):
+    # over F_7, (1:6:0) is (1:-1:0); read over Q it would be the point (1, 6, 0)
+    seeds = [normalize(v, other) for v in STANDARD_SEEDS + [(1, 6, 0)]]
+    with pytest.raises(DimensionMismatch):
+        plane_closure(field, seeds, height_cap=6 if field.p is None else None)
+    mixed = [normalize(v, field) for v in STANDARD_SEEDS] + seeds[-1:]
+    with pytest.raises(DimensionMismatch):
+        plane_closure(field, mixed, height_cap=6 if field.p is None else None)
 
 
 def test_plane_closure_rejects_cap_over_fp():
