@@ -18,7 +18,7 @@ import numpy as np
 
 from .enumeration import PointRegistry
 from .errors import EmptyRegistry
-from .geometry import primitive_rows
+from .geometry import canonical_rows
 from .surface import height, on_tangent_section, point_rows, secant_compose
 
 OP = "∘"  # the composition symbol used in rendered schemes
@@ -122,7 +122,7 @@ def build_table(registry: PointRegistry) -> CompositionTable:
         raw, aq, r, j = raw[near], aq[near], r[near], j[near]
         g = np.gcd.reduce(raw, axis=1)
         low = aq // g <= cap
-        z = primitive_rows(raw[low], g[low])
+        z, _ = canonical_rows(raw[low])
         for key, pair in zip(z.tolist(), zip((r[low] + 1).tolist(), (j[low] + 1).tolist())):
             k = index.get(tuple(key))
             if k is not None:
@@ -185,9 +185,10 @@ class _MinMaxPass:
         self.parent: list[tuple[int, int] | None] = [None] * (n + 1)
         self.heap: list[tuple[float, int]] = []
 
-    def seed(self, r: int) -> None:
-        self.value[r] = 0
-        heapq.heappush(self.heap, (0, r))
+    def seed(self, *ranks: int) -> None:
+        for r in ranks:
+            self.value[r] = 0
+            heapq.heappush(self.heap, (0, r))
 
     def settle(self, target: int = 0) -> None:
         """Pop while the heap's least entry is below value[target]; settle() runs to the fixpoint.
@@ -240,14 +241,6 @@ class _MinMaxPass:
         return Scheme(k, left, self.scheme(j))
 
 
-def _fresh_pass(table: CompositionTable, seeds) -> _MinMaxPass:
-    kernel = _MinMaxPass(table)
-    for r in seeds:
-        kernel.seed(r)
-    kernel.settle()
-    return kernel
-
-
 def _closure(
     table: CompositionTable, seeds: set[int]
 ) -> tuple[set[int], dict[int, tuple[int, int]]]:
@@ -256,7 +249,9 @@ def _closure(
     parents[k] = (i, j) is the lexicographically smallest producing pair in
     the earliest generation; (i, i) marks the tangent relation k = i o i.
     """
-    kernel = _fresh_pass(table, seeds)
+    kernel = _MinMaxPass(table)
+    kernel.seed(*seeds)
+    kernel.settle()
     reached = {k for k, v in enumerate(kernel.value) if v < math.inf}
     return reached, {k: kernel.parent[k] for k in reached if kernel.value[k]}
 
@@ -266,9 +261,12 @@ def weak_closure(table: CompositionTable, x: int) -> tuple[bool, Scheme | None]:
 
     Leaves of the witness are ranks below x; intermediate values may be any
     registry point.  The scheme is minimal in closure generations, ties
-    broken by smallest producing rank pair.
+    broken by smallest producing rank pair.  As in `build_report`, the pass
+    settles only as far as x's own depth.
     """
-    kernel = _fresh_pass(table, range(1, x))
+    kernel = _MinMaxPass(table)
+    kernel.seed(*range(1, x))
+    kernel.settle(x)
     if kernel.value[x] == math.inf:
         return False, None
     return True, kernel.scheme(x)

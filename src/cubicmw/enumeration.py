@@ -65,7 +65,7 @@ from .errors import (
     ParseError,
     UnsortedInput,
 )
-from .geometry import RATIONALS, ProjPoint, normalize, primitive_rows
+from .geometry import RATIONALS, ProjPoint, canonical_rows, eval_rows, normalize
 from .surface import CubicSurface, height, surface_point
 
 _ORACLE_CAP = 200
@@ -115,7 +115,7 @@ def _sorted_registry(surface: CubicSurface, bound: int, vectors) -> PointRegistr
     Raises NotOnSurface, as `surface_point` does, if one is off the surface.
     """
     rows = np.fromiter(chain.from_iterable(vectors), dtype=np.int64).reshape(-1, 4)
-    rows = primitive_rows(rows, np.gcd.reduce(rows, axis=1))
+    rows = canonical_rows(rows)[0]
     rows = rows[np.abs(rows).sum(axis=1) <= bound]
     rows = rows[np.lexsort((*rows.T[::-1], np.abs(rows).sum(axis=1)))]
     new = np.ones(len(rows), dtype=bool)
@@ -124,7 +124,7 @@ def _sorted_registry(surface: CubicSurface, bound: int, vectors) -> PointRegistr
     a = _diagonal_coeffs(surface)
     # every partial sum of a_i*x_i^3 is below sum|a_i| * bound^3 in size
     wide = rows if sum(map(abs, a)) * bound**3 < 2**63 else rows.astype(object)
-    off = np.flatnonzero(wide**3 @ np.array(a, dtype=wide.dtype))
+    off = np.flatnonzero(eval_rows(surface.form, wide))
     points = [ProjPoint(x) for x in map(tuple, rows.tolist())]
     if len(off):
         surface_point(surface, points[off[0]])

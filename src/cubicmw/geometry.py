@@ -2,16 +2,20 @@
 
 Projective vectors (points, and by duality lines and planes) and integer
 cubic forms with evaluation, gradient and polarization.  All arithmetic is
-exact; nothing here uses floating point.  The gradient and the polar
-expansion also run on batches of points over Q, given as rows of numpy
-object arrays of Python ints: their arithmetic is elementwise, so one loop
-serves a point and a batch.
+exact; nothing here uses floating point.  The value, the gradient, the
+polar expansion and the canonical form also run on batches of points, one
+point a row: over Q int64 rows or object rows of Python ints, over F_p
+int64 rows of residues.  Their arithmetic is elementwise, so one loop
+serves a point and a batch.  `Field` keeps p below 2^31, so a residue is
+below 2^31 and a product of two below 2^62; over F_p each product is
+reduced as soon as it is formed, and no int64 entry wraps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache, reduce
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -145,6 +149,13 @@ def dot(u: Sequence[int], v: Sequence[int], p: int | None = None) -> int:
     return d if p is None else d % p
 
 
+def dot_rows(U: np.ndarray, V: np.ndarray, p: int | None = None) -> np.ndarray:
+    """`dot` of each row pair of U and V: ints over Q, or residues mod p over F_p."""
+    if p is None:
+        return (U * V).sum(axis=1)
+    return (U * V % p).sum(axis=1) % p
+
+
 def incident(dual: ProjPoint, x: ProjPoint) -> bool:
     """Whether x lies on the line or plane with dual coordinates `dual`."""
     if dual.dim != x.dim:
@@ -207,36 +218,48 @@ def _check_dims(form: CubicForm, *points: ProjPoint) -> None:
             )
 
 
-def eval_form(form: CubicForm, x: ProjPoint) -> int:
-    """Exact value of the form at the normalized representative."""
-    _check_dims(form, x)
-    v = x.coords
+def _value(form: CubicForm, v, p: int | None = None):
+    """F at v, whose entries are ints or equal-length columns, reduced mod p over F_p."""
     total = 0
     for c, i, j, k in form._terms:
-        total += c * v[i] * v[j] * v[k]
-    return total if x.field.p is None else total % x.field.p
+        if p is None:
+            total += c * v[i] * v[j] * v[k]
+        else:
+            total = (total + c % p * (v[i] * v[j] % p) % p * v[k]) % p
+    return total
 
 
-def _partials(form: CubicForm, v) -> list:
-    """grad F at v, whose entries are ints or equal-length columns."""
+def _partials(form: CubicForm, v, p: int | None = None) -> list:
+    """grad F at v, whose entries are ints or equal-length columns, reduced mod p over F_p."""
     out = [0] * form.dim
     for t, c, a, b in form._grad_terms:
-        out[t] += c * v[a] * v[b]
+        if p is None:
+            out[t] += c * v[a] * v[b]
+        else:
+            out[t] = (out[t] + c % p * (v[a] * v[b] % p)) % p
     return out
+
+
+def eval_form(form: CubicForm, x: ProjPoint) -> int:
+    """Exact value of the form at x, reduced mod p over F_p."""
+    _check_dims(form, x)
+    return _value(form, x.coords, x.field.p)
 
 
 def gradient(form: CubicForm, x: ProjPoint) -> tuple[int, ...]:
     """Values of the partial derivatives at x; satisfies Euler's identity."""
     _check_dims(form, x)
-    out = _partials(form, x.coords)
-    if x.field.p is not None:
-        out = [c % x.field.p for c in out]
-    return tuple(out)
+    return tuple(_partials(form, x.coords, x.field.p))
 
 
-def gradient_rows(form: CubicForm, X: np.ndarray) -> np.ndarray:
-    """The gradient at each row of X, points over Q, row by row."""
-    return np.column_stack(np.broadcast_arrays(*_partials(form, X.T)))
+def eval_rows(form: CubicForm, X: np.ndarray, p: int | None = None) -> np.ndarray:
+    """`eval_form` at each row of X: points over Q, or residues mod p over F_p."""
+    return _value(form, X.T, p)
+
+
+def gradient_rows(form: CubicForm, X: np.ndarray, p: int | None = None) -> np.ndarray:
+    """`gradient` at each row of X: points over Q, or residues mod p over F_p."""
+    return np.column_stack(np.broadcast_arrays(*_partials(form, X.T, p)))
 
 
 def _polar(form: CubicForm, x, y) -> list:
@@ -280,12 +303,49 @@ def polar_rows(form: CubicForm, X: np.ndarray, Y: np.ndarray) -> list[np.ndarray
     return _polar(form, X.T, Y.T)
 
 
-def primitive_rows(raw: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Each row of raw divided by its gcd g, first nonzero entry positive.
+def _leads(v: np.ndarray) -> np.ndarray:
+    """The first nonzero entry of each row of v, 0 for a zero row."""
+    return v[np.arange(len(v)), (v != 0).argmax(axis=1)]
 
-    This is `normalize` over Q, row by row; a zero row, given g = 1, stays zero.
+
+@lru_cache(maxsize=4)
+def _inverses(p: int) -> np.ndarray:
+    return inverse_mod(np.arange(p), p)
+
+
+def inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """a^(p-2) mod p elementwise, the inverse of each nonzero residue (Fermat).
+
+    When a holds more entries than there are residues, a looks its inverses
+    up in a table of every residue's inverse, built once per p.
     """
-    z = raw // g[:, None]
-    lead = z[np.arange(len(z)), (z != 0).argmax(axis=1)]
-    z[lead < 0] *= -1
-    return z
+    if len(a) > p:
+        return _inverses(p)[a]
+    out = np.ones_like(a)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * a % p
+        a = a * a % p
+        e >>= 1
+    return out
+
+
+def canonical_rows(raw: np.ndarray, p: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """`normalize` of each row of raw, and whether the row is nonzero.
+
+    Over Q the rows are int64 or object rows of Python ints, over F_p int64
+    rows of any ints; the result is int64 over F_p.  A zero row stays zero.
+    """
+    if p is None:
+        g = reduce(np.gcd, raw.T)
+        nonzero = g != 0
+        g[~nonzero] = 1
+        v = raw // g[:, None]
+        v[_leads(v) < 0] *= -1
+        return v, nonzero
+    v = raw % p
+    lead = _leads(v)
+    v *= inverse_mod(lead, p)[:, None]
+    v %= p
+    return v, lead != 0

@@ -6,11 +6,10 @@ from the split-surface model can be singular, and composition is still
 fine away from the singular locus.
 
 Over F_p the points of a cubic are also handled as int64 rows of residues
-mod p: `curve_rows` scans P^2 for them, `gradient_mod_rows` and
-`chord_rows` are the gradient and the composition of a batch of rows, and
-`same_rows` compares rows projectively.  `Field` keeps p below 2^31, so
-every residue is below 2^31 and every product of two below 2^62; each
-product is reduced at once, so no entry can wrap for any field.
+mod p: `curve_rows` scans P^2 for them with `geometry.eval_rows`.  A batch
+of such rows has its gradient from `geometry.gradient_rows` and its
+compositions from `surface.compose_rows`, which take the field's p; the
+composed rows are canonical, so rows compare with `==`.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from .geometry import (
     RATIONALS,
     dot,
     eval_form,
+    eval_rows,
     gradient,
     normalize,
 )
@@ -133,50 +133,10 @@ def curve_rows(curve: PlaneCubic) -> np.ndarray:
     for lo in range(0, n, _SCAN_ROWS):
         a, b = np.divmod(np.arange(lo, min(lo + _SCAN_ROWS, n), dtype=np.int64), p)
         X = np.column_stack([a < p, np.where(a < p, a, a == p), np.where(a > p, 1, b)])
-        value = np.zeros(len(X), dtype=np.int64)
-        for c, i, j, k in curve.form._terms:
-            value += c % p * (X[:, i] * X[:, j] % p) % p * X[:, k] % p
-            value %= p
-        found.append(X[value == 0])
+        found.append(X[eval_rows(curve.form, X, p) == 0])
     return np.concatenate(found)
 
 
 def curve_points(curve: PlaneCubic) -> list[ProjPoint]:
     """All points of the cubic over its prime field, in the scan order of `curve_rows`."""
     return [ProjPoint(tuple(x), curve.field) for x in curve_rows(curve).tolist()]
-
-
-def gradient_mod_rows(curve: PlaneCubic, X: np.ndarray) -> np.ndarray:
-    """The gradient mod p at each row of X, rows of int64 residues."""
-    p = curve.field.p
-    G = np.zeros(X.shape, dtype=np.int64)
-    for t, c, a, b in curve.form._grad_terms:
-        G[:, t] += c % p * (X[:, a] * X[:, b] % p) % p
-        G[:, t] %= p
-    return G
-
-
-def chord_rows(
-    curve: PlaneCubic, X: np.ndarray, Y: np.ndarray, GX=None, GY=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """`cubic_compose` of each row pair of X and Y, points of the cubic over F_p.
-
-    X and Y are int64 rows of residues, normalized or not; GX and GY are
-    their gradients when already known.  Returns (Z, ok): Z = c2·X − c1·Y
-    mod p, not normalized, with c1 = grad F(X)·Y and c2 = grad F(Y)·X.  ok is
-    False exactly where `cubic_compose` raises EqualPoints or LineOnCurve:
-    both make Z the zero vector, and only they do (at Y = λX, Euler's
-    identity gives c2·X = c1·Y).
-    """
-    p = curve.field.p
-    GX = gradient_mod_rows(curve, X) if GX is None else GX
-    GY = gradient_mod_rows(curve, Y) if GY is None else GY
-    c1 = (GX * Y % p).sum(axis=1) % p
-    c2 = (GY * X % p).sum(axis=1) % p
-    Z = (c2[:, None] * X - c1[:, None] * Y) % p
-    return Z, Z.any(axis=1)
-
-
-def same_rows(X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
-    """Whether each row pair of residues is one point of P^2: X × Y ≡ 0 mod p."""
-    return (np.cross(X, Y) % p == 0).all(axis=1)

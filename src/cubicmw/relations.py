@@ -16,7 +16,7 @@ missing, and its outcomes are counted in draw order, so every count, and
 the draw at which the skip budget runs out, is the same as when each draw
 is checked on its own.  The group law runs through the same loop over
 F_p: its points are int64 rows of residues mod p, composed row by row
-with `chord_rows`.
+with the same `compose_rows`, given p, into canonical rows.
 """
 
 from __future__ import annotations
@@ -29,15 +29,8 @@ import numpy as np
 
 from .enumeration import PointRegistry
 from .errors import CubicError, DegenerateSample
-from .geometry import CubicForm, Field, ProjPoint, gradient_rows, polar_rows
-from .planecubic import (
-    PlaneCubic,
-    _tangent_value,
-    chord_rows,
-    curve_rows,
-    gradient_mod_rows,
-    same_rows,
-)
+from .geometry import CubicForm, Field, ProjPoint, dot_rows, gradient_rows, polar_rows
+from .planecubic import PlaneCubic, _tangent_value, curve_rows
 # bench/workload.py counts calls of relations.secant_compose; the batched
 # compositions of the registry suites are not such calls
 from .surface import compose_rows, point_rows, secant_compose  # noqa: F401
@@ -234,7 +227,7 @@ def tangent_consistency_suite(
 
     def check(draws):
         x, y = draws.T
-        on_section = (G[y] * P[x]).sum(axis=1) == 0
+        on_section = dot_rows(G[y], P[x]) == 0
         return (on_section == (polar_rows(form, Q[y], Q[x])[1] == 0)).tolist()
 
     return _run("tangent consistency", trials, draw, check)
@@ -250,8 +243,9 @@ def group_law_suite(
     once per identity e drawn.
     """
     curve = PlaneCubic(CubicForm.diagonal(diagonal), Field(p))
+    form = curve.form
     P = curve_rows(curve)
-    G = gradient_mod_rows(curve, P)
+    G = gradient_rows(form, P, p)
     smooth = G.any(axis=1)
     P, G = P[smooth], G[smooth]
     _check_size(P, 4)
@@ -269,9 +263,9 @@ def group_law_suite(
 
     def add(e, X, Y, GX=None, GY=None):
         """x + y for each row pair with identity P[e], and where it is defined."""
-        W, ok = chord_rows(curve, X, Y, GX, GY)
-        S, defined = chord_rows(curve, P[e], W, G[e])
-        for r in np.flatnonzero(ok & same_rows(W, P[e], p)):
+        W, ok = compose_rows(form, X, Y, GX, GY, p)
+        S, defined = compose_rows(form, P[e], W, G[e], p=p)
+        for r in np.flatnonzero(ok & (W == P[e]).all(axis=1)):
             value = e_o_e(e[r])
             if value is not None:
                 S[r], defined[r] = value, True
@@ -280,13 +274,13 @@ def group_law_suite(
     def identity(draws):
         e, x = draws.T
         S, ok = add(e, P[x], P[e], G[x], G[e])
-        return _outcomes(ok, same_rows(S, P[x], p))
+        return _outcomes(ok, (S == P[x]).all(axis=1))
 
     def commutativity(draws):
         e, x, y = draws.T
         A, ok = add(e, P[x], P[y], G[x], G[y])
         B, ok_b = add(e, P[y], P[x], G[y], G[x])
-        return _outcomes(ok & ok_b, same_rows(A, B, p))
+        return _outcomes(ok & ok_b, (A == B).all(axis=1))
 
     def associativity(draws):
         e, x, y, z = draws.T
@@ -294,7 +288,7 @@ def group_law_suite(
         YZ, ok_yz = add(e, P[y], P[z], G[y], G[z])
         L, ok_l = add(e, XY, P[z], GY=G[z])
         R, ok_r = add(e, P[x], YZ, G[x])
-        return _outcomes(ok & ok_yz & ok_l & ok_r, same_rows(L, R, p))
+        return _outcomes(ok & ok_yz & ok_l & ok_r, (L == R).all(axis=1))
 
     def draw(k):
         return functools.partial(sample_rows, rng, len(P), k)

@@ -34,11 +34,11 @@ from .geometry import (
     Field,
     ProjPoint,
     RATIONALS,
+    canonical_rows,
     eval_form,
     line_through,
     meet,
     normalize,
-    primitive_rows,
 )
 from .linalg import det3, kernel_basis, rank
 from .planecubic import PlaneCubic, cubic_compose
@@ -282,23 +282,6 @@ def verify_claim1(
 # threshold, so blocks reuse heap memory and the closure leaves peak RSS flat
 _BLOCK_PAIRS = 1 << 12
 
-def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """a^(p-2) mod p elementwise, the inverse of each nonzero residue (Fermat).
-
-    When a holds more entries than there are residues, each residue is
-    inverted once and a looks its inverse up.
-    """
-    if len(a) > p:
-        return _inverse_mod(np.arange(p), p)[a]
-    out = np.ones_like(a)
-    e = p - 2
-    while e:
-        if e & 1:
-            out = out * a % p
-        a = a * a % p
-        e >>= 1
-    return out
-
 
 class _Codec:
     """Points and lines of P^2 as ints: the canonical row (x, y, z) has code (x*r + y+b)*r + z+b.
@@ -335,17 +318,10 @@ class _Codec:
         return (v[:, 0] * r + v[:, 1] + b) * r + v[:, 2] + b
 
     def encode(self, raw: np.ndarray, cap: int | None = None) -> np.ndarray:
-        """Codes of the canonical forms of the nonzero rows of raw, dropping those above cap."""
-        p = self.p
-        if p is None:
-            v = primitive_rows(raw, np.gcd(np.gcd(raw[:, 0], raw[:, 1]), raw[:, 2]))
-            if cap is not None:
-                v = v[np.abs(v).max(axis=1) <= cap]
-        else:
-            v = raw % p
-            lead = v[np.arange(len(v)), (v != 0).argmax(axis=1)]
-            v *= _inverse_mod(lead, p)[:, None]
-            v %= p
+        """Codes of the canonical forms of the rows of raw, none zero, dropping those above cap."""
+        v, _ = canonical_rows(raw, self.p)
+        if cap is not None:
+            v = v[np.abs(v).max(axis=1) <= cap]
         return self.code(v)
 
     @functools.cached_property
@@ -355,8 +331,8 @@ class _Codec:
         # canonical rows lie in {0, 1} x [0, p)^2 over F_p, in [-c, c]^3 over Q
         box = (2, p, p) if p is not None else (2 * c + 1,) * 3
         v = np.indices(box, dtype=np.int64).reshape(3, -1).T - (c if p is None else 0)
-        lead = v[np.arange(len(v)), (v != 0).argmax(axis=1)]
-        v = v[lead == 1 if p is not None else (lead > 0) & (np.gcd.reduce(v, axis=1) == 1)]
+        w, nonzero = canonical_rows(v, p)
+        v = v[nonzero & (w == v).all(axis=1)]
         return v, self.code(v)
 
     def rows(self, codes: list[int]) -> np.ndarray:

@@ -4,8 +4,9 @@ x o y is the third intersection of the line through x, y with the surface;
 it is partial (undefined when the line lies on the surface) and multivalued
 at x = y, where the value set is the tangent-plane section.  The latter is
 exposed as the binary relation `on_tangent_section`.  `compose_rows` is
-the composition of a batch of point pairs over Q at once, on the rows of
-`point_rows`.
+the composition of a batch of point pairs at once, over Q on the rows of
+`point_rows` and over F_p on int64 rows of residues; it serves any cubic
+form, so plane cubics too.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from .errors import EqualPoints, InvalidCoefficients, LineOnSurface, NotOnSurfac
 from .geometry import (
     CubicForm,
     ProjPoint,
+    canonical_rows,
     dot,
+    dot_rows,
     eval_form,
     gradient,
     gradient_rows,
     normalize,
-    primitive_rows,
 )
 
 # point_rows gives int64 rows while every composition of two of them stays below this
@@ -97,26 +99,28 @@ def point_rows(form: CubicForm, points) -> tuple[np.ndarray, np.ndarray]:
     return P, G
 
 
-def compose_rows(form: CubicForm, X, Y, GX=None, GY=None) -> tuple[np.ndarray, np.ndarray]:
-    """`secant_compose` of each row pair of X and Y, normalized points over Q.
+def compose_rows(
+    form: CubicForm, X, Y, GX=None, GY=None, p: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """`secant_compose` of each row pair of X and Y, as canonical rows.
 
-    X and Y are 2-d object arrays of Python ints or rows of `point_rows`;
-    GX and GY are their rows' gradients when already known.  Returns
-    (Z, ok), Z an object array whatever the input: a composed point's
-    gradient can pass 2^63 where the points' own cannot.  ok is False
-    exactly where `secant_compose` raises, and Z's row is zero there.  Both
-    cases make c2·x − c1·y the zero vector, and only they do: distinct
-    normalized points are independent, and at x = y, c1 = c2.
+    Over Q, X and Y are 2-d object arrays of Python ints or rows of
+    `point_rows`, normalized points; over F_p they are int64 rows of
+    residues, normalized or not.  GX and GY are their rows' gradients when
+    already known.  Returns (Z, ok), Z the `normalize` of each row: int64
+    over F_p, and over Q an object array whatever the input, since a
+    composed point's gradient can pass 2^63 where the points' own cannot.
+    ok is False exactly where `secant_compose` raises, and Z's row is zero
+    there.  Both cases make c2·x − c1·y the zero vector, and only they do:
+    distinct points are independent, and at y = λx Euler's identity gives
+    c2·x = c1·y.
     """
-    GX = gradient_rows(form, X) if GX is None else GX
-    GY = gradient_rows(form, Y) if GY is None else GY
-    c1 = (GX * Y).sum(axis=1)
-    c2 = (GY * X).sum(axis=1)
-    raw = c2[:, None] * X - c1[:, None] * Y
-    g = np.gcd.reduce(raw, axis=1)
-    ok = g != 0
-    g[~ok] = 1
-    return primitive_rows(raw, g).astype(object, copy=False), ok
+    GX = gradient_rows(form, X, p) if GX is None else GX
+    GY = gradient_rows(form, Y, p) if GY is None else GY
+    c1 = dot_rows(GX, Y, p)
+    c2 = dot_rows(GY, X, p)
+    Z, ok = canonical_rows(c2[:, None] * X - c1[:, None] * Y, p)
+    return (Z.astype(object, copy=False) if p is None else Z), ok
 
 
 def on_tangent_section(surface: CubicSurface, x: ProjPoint, y: ProjPoint) -> bool:

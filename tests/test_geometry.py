@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -21,7 +22,15 @@ from cubicmw.errors import (
     DimensionMismatch,
     ZeroVector,
 )
-from cubicmw.geometry import dot, incident
+from cubicmw.geometry import (
+    ProjPoint,
+    canonical_rows,
+    dot,
+    dot_rows,
+    eval_rows,
+    gradient_rows,
+    incident,
+)
 
 ZAGIER = CubicForm.diagonal((1, 2, 3, 4))
 
@@ -257,7 +266,7 @@ def _monomials(dim):
 def form_and_points(draw):
     """A dense or diagonal integer cubic form in 3 or 4 variables and two points."""
     dim = draw(st.sampled_from((3, 4)))
-    field = Field(draw(st.sampled_from((None, 2, 3, 5, 101))))
+    field = Field(draw(st.sampled_from((None, 2, 3, 5, 101, 2**31 - 1))))
     coeff = st.integers(-50, 50)
     if draw(st.booleans()):
         mons = _monomials(dim)
@@ -276,12 +285,35 @@ def form_and_points(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(form_and_points())
-def test_compiled_form_matches_loops(case):
+@given(form_and_points(), st.data())
+def test_compiled_form_matches_loops(case, data):
     form, x, y = case
     for v in (x, y):
         assert eval_form(form, v) == loop_eval_form(form, v)
         assert gradient(form, v) == loop_gradient(form, v)
+    # the row kernels match the point functions row by row, on int64 rows of
+    # unnormalized ints over Q or residues over F_p, a zero row and a row of
+    # the largest entries among them
+    field, p = x.field, x.field.p
+    entry = st.integers(-40, 40) if p is None else st.integers(0, p - 1)
+    raw = data.draw(st.lists(st.lists(entry, min_size=form.dim, max_size=form.dim), max_size=6))
+    top = [40 if p is None else p - 1] * form.dim
+    rows = [list(x.coords), list(y.coords), [0] * form.dim, top, *raw]
+    X = np.array(rows, dtype=np.int64)
+    pts = [ProjPoint(tuple(r), field) for r in rows]
+    assert eval_rows(form, X, p).tolist() == [eval_form(form, v) for v in pts]
+    assert gradient_rows(form, X, p).tolist() == [list(gradient(form, v)) for v in pts]
+    for other in (rows, rows[::-1]):
+        assert dot_rows(X, np.array(other), p).tolist() == [
+            dot(a, b, p) for a, b in zip(rows, other)]
+    Z, nonzero = canonical_rows(X, p)
+    for z, defined, r in zip(Z.tolist(), nonzero.tolist(), rows):
+        try:
+            expected = normalize(r, field).coords
+        except ZeroVector:
+            expected = None
+        assert (tuple(z) if defined else None) == expected
+        assert defined or not any(z)
 
 
 @settings(max_examples=300, deadline=None)

@@ -17,7 +17,8 @@ from cubicmw import (
 )
 from cubicmw.errors import CubicError, EqualPoints, LineOnCurve, SingularPoint
 from cubicmw import planecubic
-from cubicmw.planecubic import PlaneCubic, _tangent_value, chord_rows
+from cubicmw.planecubic import PlaneCubic, _tangent_value
+from cubicmw.surface import compose_rows
 
 F101 = Field(101)
 
@@ -172,8 +173,8 @@ def test_tangent_value_matches_polar_expansion(p):
 
 
 def check_chord_rows(curve, pts):
-    """chord_rows against cubic_compose on every pair of pts, each point scaled
-    by residues near p, and on the compositions chained to them."""
+    """compose_rows over F_p against cubic_compose on every pair of pts, each
+    point scaled by residues near p, and on the compositions chained to them."""
     p = curve.field.p
     scales = (1, p - 1, 2**30 + 7, p - 12345)  # unnormalized representatives
     pairs = [(x, y, s, t) for x in pts for y in pts for s in scales for t in scales]
@@ -187,16 +188,21 @@ def check_chord_rows(curve, pts):
             return None
 
     def check(Z, ok, expected):
+        # canonical rows: a defined row is the normalized point itself, an undefined one zero
         for z, defined, e in zip(Z.tolist(), ok.tolist(), expected):
-            assert (normalize(z, curve.field) if defined else None) == e
+            assert (ProjPoint(tuple(z), curve.field) if defined else None) == e
+            assert defined or not any(z)
 
-    Z, ok = chord_rows(curve, X, Y)
+    def compose(X, Y):
+        return compose_rows(curve.form, X, Y, p=p)
+
+    Z, ok = compose(X, Y)
     xy = [exact(x, y) for x, y, _, _ in pairs]
     check(Z, ok, xy)
-    # chained: x o (x o y) and (x o y) o y, from the unnormalized x o y
+    # chained: x o (x o y) and (x o y) o y, from the unnormalized x and y
     d = np.flatnonzero(ok)
-    check(*chord_rows(curve, X[d], Z[d]), [exact(pairs[i][0], xy[i]) for i in d])
-    check(*chord_rows(curve, Z[d], Y[d]), [exact(xy[i], pairs[i][1]) for i in d])
+    check(*compose(X[d], Z[d]), [exact(pairs[i][0], xy[i]) for i in d])
+    check(*compose(Z[d], Y[d]), [exact(xy[i], pairs[i][1]) for i in d])
     return ok
 
 
