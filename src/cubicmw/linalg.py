@@ -94,15 +94,3 @@ def det3(a, b, c) -> int:
         - a[1] * (b[0] * c[2] - b[2] * c[0])
         + a[2] * (b[0] * c[1] - b[1] * c[0])
     )
-
-
-def det4(rows) -> int:
-    """Determinant of a 4x4 integer matrix by cofactor expansion."""
-    a, b, c, d = rows
-    total = 0
-    for j in range(4):
-        sub = [
-            [row[k] for k in range(4) if k != j] for row in (b, c, d)
-        ]
-        total += (-1) ** j * a[j] * det3(*sub)
-    return total

@@ -30,6 +30,7 @@ from .geometry import (
     gradient,
     normalize,
 )
+from .surface import third_point
 
 
 @dataclass(frozen=True)
@@ -61,16 +62,14 @@ def _smooth_gradient(curve: PlaneCubic, x: ProjPoint) -> tuple[int, ...]:
 def cubic_compose(curve: PlaneCubic, x: ProjPoint, y: ProjPoint) -> ProjPoint:
     """Third intersection of the line through x, y with the cubic.
 
-    c1 = grad F(x)·y and c2 = grad F(y)·x reuse the smoothness checks' gradients.
+    `third_point` reuses the smoothness checks' gradients.
     """
     if x == y:
         raise EqualPoints(f"composition is multivalued at x = y ({x})")
-    c1 = dot(_smooth_gradient(curve, x), y.coords, x.field.p)
-    c2 = dot(_smooth_gradient(curve, y), x.coords, x.field.p)
-    if c1 == 0 and c2 == 0:
+    z = third_point(x, y, _smooth_gradient(curve, x), _smooth_gradient(curve, y))
+    if z is None:
         raise LineOnCurve(f"line through {x} and {y} is a component of the cubic")
-    raw = [c2 * a - c1 * b for a, b in zip(x.coords, y.coords)]
-    return normalize(raw, curve.field)
+    return z
 
 
 def group_add(

@@ -11,7 +11,9 @@ one draw at a time.  The registry's points and gradients are rows of
 `point_rows`, int64 while no composition of two of them can wrap, so the
 first compositions of a draw run on int64 rows with the gradients looked
 up; every composed point is an object row of Python ints, so the later
-steps stay exact.  A batch never holds more draws than trials are
+steps stay exact.  The tangent suite expands F(x + t·y) on the int64
+rows too while no coefficient of the expansion can reach 2^63, and on
+Python ints otherwise.  A batch never holds more draws than trials are
 missing, and its outcomes are counted in draw order, so every count, and
 the draw at which the skip budget runs out, is the same as when each draw
 is checked on its own.  The group law runs through the same loop over
@@ -33,10 +35,12 @@ from .geometry import CubicForm, Field, ProjPoint, dot_rows, gradient_rows, pola
 from .planecubic import PlaneCubic, _tangent_value, curve_rows
 # bench/workload.py counts calls of relations.secant_compose; the batched
 # compositions of the registry suites are not such calls
-from .surface import compose_rows, point_rows, secant_compose  # noqa: F401
+from .surface import compose_rows, point_rows, polar_point_rows, secant_compose  # noqa: F401
 
-# Draws checked at once; it bounds the size, and so the memory, of a batch's arrays.
-_BATCH = 128
+# Draws checked at once; it bounds the size, and so the memory, of a batch's
+# arrays.  Larger batches spread numpy's cost per call over more draws; past
+# 512 the sextuple suite's big-integer rows cost more memory than they save time.
+_BATCH = 512
 
 # Skipped draws allowed per requested trial.  Registries of real surfaces skip
 # fewer than 4 draws per trial (the most: the Fermat surface at H=10 in the
@@ -219,11 +223,13 @@ def tangent_consistency_suite(
     """x on the tangent section at y iff the polar coefficient c1 of (y, x) vanishes.
 
     The section is grad F(y)·x = 0, as in `on_tangent_section`; the polar
-    expansion does not use the gradient, and runs on Python ints.
+    expansion does not use the gradient.  It runs on the int64 rows of
+    `point_rows` where `polar_point_rows` keeps them, and on Python ints
+    otherwise.
     """
     form = registry.surface.form
     P, G, draw = _registry_draws(registry, 2, seed)
-    Q = P.astype(object)
+    Q = polar_point_rows(form, P)
 
     def check(draws):
         x, y = draws.T

@@ -3,10 +3,11 @@
 x o y is the third intersection of the line through x, y with the surface;
 it is partial (undefined when the line lies on the surface) and multivalued
 at x = y, where the value set is the tangent-plane section.  The latter is
-exposed as the binary relation `on_tangent_section`.  `compose_rows` is
-the composition of a batch of point pairs at once, over Q on the rows of
-`point_rows` and over F_p on int64 rows of residues; it serves any cubic
-form, so plane cubics too.
+exposed as the binary relation `on_tangent_section`.  `third_point` is
+the composition of one point pair on any cubic, given the gradients, and
+`compose_rows` that of a batch of pairs at once, over Q on the rows of
+`point_rows` and over F_p on int64 rows of residues; both serve plane
+cubics too.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .geometry import (
     normalize,
 )
 
-# point_rows gives int64 rows while every composition of two of them stays below this
+# point_rows gives int64 rows while every composition of two of them stays
+# below this, and polar_point_rows while every polar expansion of two does
 _INT64_BOUND = 2**63
 
 
@@ -66,22 +68,33 @@ def surface_point(surface: CubicSurface, x: ProjPoint) -> ProjPoint:
     return x
 
 
+def third_point(x: ProjPoint, y: ProjPoint, gx, gy) -> ProjPoint | None:
+    """The third point of a cubic on the line through the distinct points x, y.
+
+    gx and gy are the cubic's gradients at x and y.  F(x + t*y) has middle
+    coefficients c1 = gx·y and c2 = gy·x, and its third root t = -c1/c2
+    gives c2·x - c1·y.  None when c1 = c2 = 0: the whole line lies on the cubic.
+    """
+    p = x.field.p
+    c1 = dot(gx, y.coords, p)
+    c2 = dot(gy, x.coords, p)
+    if c1 == 0 and c2 == 0:
+        return None
+    return normalize([c2 * a - c1 * b for a, b in zip(x.coords, y.coords)], x.field)
+
+
 def secant_compose(surface: CubicSurface, x: ProjPoint, y: ProjPoint) -> ProjPoint:
     """Third intersection of the secant line through x and y with the surface.
 
     May return x or y itself (tangency); raises EqualPoints at x = y and
-    LineOnSurface when the whole line lies on the surface.  F(x + t*y) has
-    middle coefficients c1 = grad F(x)·y and c2 = grad F(y)·x, and its third
-    root t = -c1/c2 gives c2·x - c1·y.
+    LineOnSurface when the whole line lies on the surface.
     """
     if x == y:
         raise EqualPoints(f"x o x is multivalued; use on_tangent_section ({x})")
-    c1 = dot(gradient(surface.form, x), y.coords, x.field.p)
-    c2 = dot(gradient(surface.form, y), x.coords, x.field.p)
-    if c1 == 0 and c2 == 0:
+    z = third_point(x, y, gradient(surface.form, x), gradient(surface.form, y))
+    if z is None:
         raise LineOnSurface(f"line through {x} and {y} lies on the surface")
-    raw = [c2 * a - c1 * b for a, b in zip(x.coords, y.coords)]
-    return normalize(raw, x.field)
+    return z
 
 
 def point_rows(form: CubicForm, points) -> tuple[np.ndarray, np.ndarray]:
@@ -99,6 +112,17 @@ def point_rows(form: CubicForm, points) -> tuple[np.ndarray, np.ndarray]:
     return P, G
 
 
+def polar_point_rows(form: CubicForm, P: np.ndarray) -> np.ndarray:
+    """P, rows of `point_rows`, in a dtype in which `polar_rows` of two never wraps.
+
+    Every coefficient of F(x + t·y), and every partial product of its
+    expansion, is at most 8·Σ|a|·max|x|³ in absolute value: P is kept while
+    that stays below 2^63, and turned into Python ints otherwise.
+    """
+    bound = 8 * sum(map(abs, form.coeffs.values())) * int(np.abs(P).max()) ** 3
+    return P if bound < _INT64_BOUND else P.astype(object)
+
+
 def compose_rows(
     form: CubicForm, X, Y, GX=None, GY=None, p: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -107,19 +131,20 @@ def compose_rows(
     Over Q, X and Y are 2-d object arrays of Python ints or rows of
     `point_rows`, normalized points; over F_p they are int64 rows of
     residues, normalized or not.  GX and GY are their rows' gradients when
-    already known.  Returns (Z, ok), Z the `normalize` of each row: int64
-    over F_p, and over Q an object array whatever the input, since a
-    composed point's gradient can pass 2^63 where the points' own cannot.
+    already known, in the dtype of their rows.  Returns (Z, ok), Z the
+    `normalize` of each row: int64 over F_p, and over Q an object array
+    whatever the input, since a composed point's gradient can pass 2^63
+    where the points' own cannot.
     ok is False exactly where `secant_compose` raises, and Z's row is zero
     there.  Both cases make c2·x − c1·y the zero vector, and only they do:
     distinct points are independent, and at y = λx Euler's identity gives
     c2·x = c1·y.
     """
-    GX = gradient_rows(form, X, p) if GX is None else GX
-    GY = gradient_rows(form, Y, p) if GY is None else GY
-    c1 = dot_rows(GX, Y, p)
-    c2 = dot_rows(GY, X, p)
-    Z, ok = canonical_rows(c2[:, None] * X - c1[:, None] * Y, p)
+    c1 = dot_rows(gradient_rows(form, X, p) if GX is None else GX, Y, p)
+    c2 = dot_rows(gradient_rows(form, Y, p) if GY is None else GY, X, p)
+    raw = c2[:, None] * X
+    raw -= c1[:, None] * Y  # in place: one array of big integers fewer at the peak
+    Z, ok = canonical_rows(raw, p)
     return (Z.astype(object, copy=False) if p is None else Z), ok
 
 

@@ -306,14 +306,30 @@ def test_compiled_form_matches_loops(case, data):
     for other in (rows, rows[::-1]):
         assert dot_rows(X, np.array(other), p).tolist() == [
             dot(a, b, p) for a, b in zip(rows, other)]
-    Z, nonzero = canonical_rows(X, p)
-    for z, defined, r in zip(Z.tolist(), nonzero.tolist(), rows):
-        try:
-            expected = normalize(r, field).coords
-        except ZeroVector:
-            expected = None
-        assert (tuple(z) if defined else None) == expected
-        assert defined or not any(z)
+    checks = [(X, rows)]
+    if p is None:
+        # object rows of Python ints up to about 2^400: a content times
+        # entries that are often zero, small or negative; a zero row, a
+        # negative lead after a zero and a content past 2^63 among them
+        entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2**200, 2**200))
+        coeffs = st.lists(entry, min_size=form.dim, max_size=form.dim)
+        row = st.tuples(st.integers(1, 2**200), coeffs)
+        big = [[0] * form.dim, [0, -6, 4] + [2] * (form.dim - 3),
+               [-(2**70) * 3] + [2**70] * (form.dim - 1),
+               *([g * c for c in r] for g, r in data.draw(st.lists(row, max_size=12)))]
+        B = np.empty((len(big), form.dim), dtype=object)
+        B[:] = big
+        checks.append((B, big))
+    for R, rows in checks:
+        Z, nonzero = canonical_rows(R, p)
+        assert Z.dtype == R.dtype and nonzero.dtype == bool
+        for z, defined, r in zip(Z.tolist(), nonzero.tolist(), rows):
+            try:
+                expected = normalize(r, field).coords
+            except ZeroVector:
+                expected = None
+            assert (tuple(z) if defined else None) == expected
+            assert defined or not any(z)
 
 
 @settings(max_examples=300, deadline=None)

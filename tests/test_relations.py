@@ -11,15 +11,22 @@ from hypothesis import strategies as st
 
 from cubicmw import (
     CubicForm,
+    CubicSurface,
     Field,
+    PointRegistry,
     curve_points,
     enumerate_points,
     group_add,
+    normalize,
+    on_tangent_section,
+    polar_coeffs,
     relations,
+    secant_compose,
     surface,
+    surface_point,
 )
 from cubicmw.errors import CubicError, DegenerateSample
-from cubicmw.geometry import gradient_rows
+from cubicmw.geometry import gradient_rows, polar_rows
 from cubicmw.planecubic import PlaneCubic
 from cubicmw.relations import (
     group_law_suite,
@@ -101,6 +108,66 @@ def test_composed_rows_are_object_rows(registry_1100):
     assert gradient_rows(form, Z.astype(np.int64)).tolist() != GZ.tolist()
 
 
+def per_draw_tangent_consistency(registry, trials, seed):
+    """The tangent consistency suite one draw at a time through `polar_coeffs`."""
+    surf, pts = registry.surface, registry.points
+    rng = random.Random(seed)
+    passes = 0
+    for _ in range(trials):
+        x, y = (pts[i] for i in rng.sample(range(len(pts)), 2))
+        passes += on_tangent_section(surf, x, y) == (polar_coeffs(surf.form, y, x)[1] == 0)
+    return [("tangent consistency", passes, trials - passes, 0)]
+
+
+def polar_dtypes(monkeypatch):
+    """The dtypes of the rows the tangent suite expands, one per batch."""
+    seen = []
+
+    def spy(form, X, Y):
+        seen.append((X.dtype, Y.dtype))
+        return polar_rows(form, X, Y)
+
+    monkeypatch.setattr(relations, "polar_rows", spy)
+    return seen
+
+
+def test_tangent_suite_expands_int64_rows_at_h1100(monkeypatch, registry_1100):
+    # max|x| = 1100 at H=1100: 8·Σ|a|·1100³ is about 2^37
+    seen = polar_dtypes(monkeypatch)
+    result = counts([tangent_consistency_suite(registry_1100, 2000, 5)])
+    assert set(seen) == {(np.dtype(np.int64), np.dtype(np.int64))}
+    assert result == per_draw_tangent_consistency(registry_1100, 2000, 5)
+
+
+def test_tangent_suite_falls_back_on_composed_points(monkeypatch, registry_1100):
+    # the compositions x o y of H=1100 points have coordinates of about 36
+    # bits, so 8·Σ|a|·max|x|³ passes 2^63 and the expansion runs on Python ints
+    surf = registry_1100.surface
+    pts = registry_1100.points[-40:]
+    composed = {secant_compose(surf, x, y) for x, y in zip(pts, pts[1:])}
+    assert 2**35 < max(abs(c) for z in composed for c in z.coords) < 2**40
+    reg = PointRegistry(surf, 0, sorted(composed, key=lambda z: z.coords))
+    seen = polar_dtypes(monkeypatch)
+    result = counts([tangent_consistency_suite(reg, 500, 3)])
+    assert set(seen) == {(np.dtype(object), np.dtype(object))}
+    assert result == per_draw_tangent_consistency(reg, 500, 3)
+
+
+@pytest.mark.parametrize("a4, dtype", [(2**60 - 4, np.int64), (2**60 - 3, object)])
+def test_tangent_guard_edge(monkeypatch, a4, dtype):
+    # points with x4 = 0 keep the gradient, and so `point_rows`, small, while
+    # the guard 8·Σ|a|·max|x|³ = 8·(3 + a4) reaches 2^63 at a4 = 2^60 − 3
+    surf = CubicSurface.diagonal((1, 1, 1, -a4))
+    pts = [normalize(v) for v in [(1, -1, 0, 0), (1, 0, -1, 0), (0, 1, -1, 0)]]
+    reg = PointRegistry(surf, 2, [surface_point(surf, x) for x in pts])
+    P, G = point_rows(surf.form, reg.points)
+    assert P.dtype == G.dtype == np.int64
+    seen = polar_dtypes(monkeypatch)
+    result = counts([tangent_consistency_suite(reg, 50, 1)])
+    assert set(seen) == {(np.dtype(dtype), np.dtype(dtype))}
+    assert result == per_draw_tangent_consistency(reg, 50, 1)
+
+
 def populations(k):
     """n from k to 5000: below 22, where `sample` keeps a pool, and 2^j and
     2^j + 1, where a word's value is kept with chance 1 and about 1/2."""
@@ -114,7 +181,7 @@ def populations(k):
 @given(
     st.integers(0, 2**64),
     st.sampled_from([2, 3, 4]).flatmap(lambda k: st.tuples(st.just(k), populations(k))),
-    st.lists(st.integers(1, 300), min_size=1, max_size=4),
+    st.lists(st.integers(1, relations._BATCH), min_size=1, max_size=4),
 )
 def test_sample_rows_match_per_draw_sample(seed, k_n, sizes):
     k, n = k_n

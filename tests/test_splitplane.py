@@ -34,7 +34,7 @@ from cubicmw.errors import (
 )
 from cubicmw import splitplane
 from cubicmw.geometry import line_through, meet
-from cubicmw.linalg import det4, kernel_basis
+from cubicmw.linalg import det3, kernel_basis
 from cubicmw.splitplane import DEFAULT_BASE, BlowupModel, pullback_cubic
 
 F101 = Field(101)
@@ -48,6 +48,16 @@ def model_q():
 @pytest.fixture(scope="module")
 def model_101():
     return BlowupModel.build(field=F101)
+
+
+def det4(rows) -> int:
+    """Determinant of a 4x4 integer matrix by cofactor expansion."""
+    a, b, c, d = rows
+    total = 0
+    for j in range(4):
+        sub = [[row[k] for k in range(4) if k != j] for row in (b, c, d)]
+        total += (-1) ** j * a[j] * det3(*sub)
+    return total
 
 
 def test_default_base_is_general_position():
