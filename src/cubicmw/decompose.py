@@ -116,14 +116,13 @@ def build_table(registry: PointRegistry) -> CompositionTable:
         aq = np.abs(raw).sum(axis=1)
         # the gcd g divides g2 = gcd(raw0, raw1), so g <= g2 unless g2 = 0, and
         # aq // g2 > cap rejects most pairs before the full gcd (floor
-        # division: cap * g2 can wrap)
+        # division: cap * g2 can wrap); a canonical row's height is aq / g
         g2 = np.gcd(raw[:, 0], raw[:, 1])
         near = (g2 == 0) | (aq // np.maximum(g2, 1) <= cap)
-        raw, aq, r, j = raw[near], aq[near], r[near], j[near]
-        g = np.gcd.reduce(raw, axis=1)
-        low = aq // g <= cap
-        z, _ = canonical_rows(raw[low])
-        for key, pair in zip(z.tolist(), zip((r[low] + 1).tolist(), (j[low] + 1).tolist())):
+        z, _ = canonical_rows(raw[near])
+        low = np.abs(z).sum(axis=1) <= cap
+        r, j = r[near][low], j[near][low]
+        for key, pair in zip(z[low].tolist(), zip((r + 1).tolist(), (j + 1).tolist())):
             k = index.get(tuple(key))
             if k is not None:
                 table.in_vh[pair] = k
@@ -165,11 +164,11 @@ class _MinMaxPass:
     step 1 and w = 0, value[k] is the closure generation of k; with step 0
     and w = height, it is the least height cap under which k is reached.
     parent[k] is the smallest pair among the offers equal to value[k], with
-    (r, r) for a tangent row: the pair `_closure` picks in the earliest
-    generation.  Seeds are only ever added, so values only fall, and each
-    `settle` resumes from the last one (Ramalingam & Reps, J. Algorithms 21
-    (1996)): a popped rank offers along every relation it enters, and a
-    lowered rank is pushed again.
+    (r, r) for a tangent row; with step 1 it is the smallest producing pair
+    in the earliest closure generation.  Seeds are only ever added, so
+    values only fall, and each `settle` resumes from the last one
+    (Ramalingam & Reps, J. Algorithms 21 (1996)): a popped rank offers
+    along every relation it enters, and a lowered rank is pushed again.
     """
 
     def __init__(self, table: CompositionTable, by_height: bool = False):
@@ -239,21 +238,6 @@ class _MinMaxPass:
         if i == j:
             return Scheme(k, left, left, tangent=True)
         return Scheme(k, left, self.scheme(j))
-
-
-def _closure(
-    table: CompositionTable, seeds: set[int]
-) -> tuple[set[int], dict[int, tuple[int, int]]]:
-    """Fixpoint of the seed set under table compositions, with back-pointers.
-
-    parents[k] = (i, j) is the lexicographically smallest producing pair in
-    the earliest generation; (i, i) marks the tangent relation k = i o i.
-    """
-    kernel = _MinMaxPass(table)
-    kernel.seed(*seeds)
-    kernel.settle()
-    reached = {k for k, v in enumerate(kernel.value) if v < math.inf}
-    return reached, {k: kernel.parent[k] for k in reached if kernel.value[k]}
 
 
 def weak_closure(table: CompositionTable, x: int) -> tuple[bool, Scheme | None]:

@@ -81,10 +81,6 @@ class AmbiguousKernel(CubicError):
     pass
 
 
-class EmptyKernel(CubicError):
-    pass
-
-
 class NotOnSection(CubicError):
     pass
 

@@ -2,7 +2,10 @@
 
 Six base points of P^2 in general position span a 4-dimensional space of
 cubics; evaluating a basis of that space embeds the complement of the base
-locus onto a cubic surface in P^3.  On top of the model: twisted cubics
+locus onto a cubic surface in P^3.  The surface's equation is the one
+linear relation among the 20 cubic monomials of P^3 composed with that
+basis, found exactly over Q and over every F_p the package accepts; no
+point is sampled.  On top of the model: twisted cubics
 (preimages of plane lines), the quaternary line-intersection operation,
 the section-dependent modified composition, and projective-plane closure.
 """
@@ -11,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +27,6 @@ from .errors import (
     DegenerateSample,
     DegenerateSeeds,
     DimensionMismatch,
-    EmptyKernel,
     InvalidBound,
     NotOnSection,
 )
@@ -123,9 +124,7 @@ class BlowupModel:
         if not ok:
             raise DegeneratePosition("; ".join(report))
         cubics = cubic_system_basis(base)
-        model = cls(field, base, cubics, None)
-        model.surface = recover_cubic_equation(model)
-        return model
+        return cls(field, base, cubics, recover_cubic_equation(cubics, field))
 
     def is_base(self, q: ProjPoint) -> bool:
         return q in self.base
@@ -139,47 +138,38 @@ def embed(model: BlowupModel, q: ProjPoint) -> ProjPoint:
     return normalize(vals, model.field)
 
 
-def _sample_plane_points(model: BlowupModel, count: int):
-    """Deterministic schedule of non-base plane points."""
-    p = model.field.p
-    out = []
-    if p is None:
-        coords = itertools.chain.from_iterable(
-            ((1, a, b) for a in range(-n, n + 1) for b in range(-n, n + 1)
-             if max(abs(a), abs(b)) == n)
-            for n in itertools.count(1)
+def _product(f: dict, g: dict) -> dict:
+    """Product of two forms stored as {exponent tuple: integer coefficient}."""
+    out: dict[tuple[int, ...], int] = {}
+    for ea, a in f.items():
+        for eb, b in g.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + a * b
+    return out
+
+
+def recover_cubic_equation(cubics: list[CubicForm], field: Field) -> CubicForm:
+    """The quaternary cubic F with F(f0, f1, f2, f3) = 0 for the cubic system f.
+
+    Each of the 20 cubic monomials in four variables, composed with f, is a
+    plane form of degree 9 with integer coefficients.  The image surface's
+    equation spans the kernel of the 55 x 20 matrix of those coefficients
+    (reduced mod p over F_p), and `kernel_basis` gives its canonical vector.
+    """
+    columns = []
+    for expo in CUBIC_MONOMIALS_4:
+        form = {(0, 0, 0): 1}
+        for f, e in zip(cubics, expo):
+            for _ in range(e):
+                form = _product(form, f.coeffs)
+        columns.append(form)
+    m = [[form.get(r, 0) for form in columns] for r in _monomials(3, 9)]
+    basis = kernel_basis(m, field)
+    if len(basis) != 1:
+        raise AmbiguousKernel(
+            f"the cubics vanishing on the image form a {len(basis)}-dimensional space"
         )
-    else:
-        grid = [(1, a, b) for a in range(p) for b in range(p)]
-        grid += [(0, 1, b) for b in range(p)] + [(0, 0, 1)]
-        random.Random(0xC3).shuffle(grid)  # fixed seed: spread, deterministic
-        coords = iter(grid)
-    for raw in coords:
-        q = normalize(raw, model.field)
-        if q in model.base:
-            continue
-        out.append(q)
-        if len(out) == count:
-            return out
-    raise EmptyKernel("not enough sample points over this field")
-
-
-def recover_cubic_equation(model: BlowupModel, samples: int = 60) -> CubicForm:
-    """The quaternary cubic vanishing on the embedded image, by linear algebra."""
-    for n in (samples, 2 * samples):
-        pts = []
-        for q in _sample_plane_points(model, n):
-            try:
-                pts.append(embed(model, q))
-            except BasePoint:
-                continue
-        m = [[_monomial_value(x.coords, e) for e in CUBIC_MONOMIALS_4] for x in pts]
-        basis = kernel_basis(m, model.field)
-        if len(basis) == 1:
-            return CubicForm(4, dict(zip(CUBIC_MONOMIALS_4, basis[0])))
-        if len(basis) == 0:
-            raise EmptyKernel("no cubic vanishes on the embedded samples")
-    raise AmbiguousKernel(f"kernel dimension {len(basis)} after resampling")
+    return CubicForm(4, dict(zip(CUBIC_MONOMIALS_4, basis[0])))
 
 
 def quaternary_star(

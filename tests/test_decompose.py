@@ -27,7 +27,6 @@ from cubicmw.decompose import (
     OP,
     DecompositionReport,
     Scheme,
-    _closure,
     _MinMaxPass,
     cap_profile,
     evaluate_scheme,
@@ -286,12 +285,26 @@ def test_strong_subset_of_weak(table_300):
         assert scheme is not None
 
 
+def closure(table, seeds):
+    """Fixpoint of the seed set under table compositions, with back-pointers.
+
+    One min-max pass with step 1: parents[k] = (i, j) is the smallest
+    producing pair in the earliest generation, (i, i) for the tangent
+    relation k = i o i.
+    """
+    kernel = _MinMaxPass(table)
+    kernel.seed(*seeds)
+    kernel.settle()
+    reached = {k for k, v in enumerate(kernel.value) if v < math.inf}
+    return reached, {k: kernel.parent[k] for k in reached if kernel.value[k]}
+
+
 def test_closure_idempotent_and_monotone(table_300):
     seeds = set(range(1, 8))
-    closed, _ = _closure(table_300, seeds)
-    again, _ = _closure(table_300, closed)
+    closed, _ = closure(table_300, seeds)
+    again, _ = closure(table_300, closed)
     assert again == closed
-    bigger, _ = _closure(table_300, seeds | {9})
+    bigger, _ = closure(table_300, seeds | {9})
     assert closed <= bigger
 
 
@@ -438,7 +451,7 @@ def test_closure_matches_naive(closure_tables, data):
         st.integers(1, n).map(lambda x: set(range(1, x)))
         | st.sets(st.integers(1, n), max_size=12)
     )
-    assert _closure(table, seeds) == naive_closure(table, seeds)
+    assert closure(table, seeds) == naive_closure(table, seeds)
 
 
 def test_partition_and_regeneration(table_300, registry_300):
@@ -449,7 +462,7 @@ def test_partition_and_regeneration(table_300, registry_300):
     gens = set(report.generator_ranks)
     assert strong | weak | gens == set(range(1, n + 1))
     assert not (strong & weak) and not (strong & gens) and not (weak & gens)
-    regenerated, _ = _closure(table_300, gens)
+    regenerated, _ = closure(table_300, gens)
     assert regenerated == set(range(1, n + 1))
 
 

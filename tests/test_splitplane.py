@@ -1,6 +1,9 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -38,6 +41,7 @@ from cubicmw.linalg import det3, kernel_basis
 from cubicmw.splitplane import DEFAULT_BASE, BlowupModel, pullback_cubic
 
 F101 = Field(101)
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 @pytest.fixture(scope="module")
@@ -134,9 +138,91 @@ def test_embed_lands_on_surface(model_101):
     assert len(images) >= 90
 
 
-def test_recovered_equation_is_canonical(model_q):
-    again = recover_cubic_equation(model_q, samples=80)
-    assert again.coeffs == model_q.surface.coeffs
+QUATERNARY_CUBICS = sorted(
+    (e for e in itertools.product(range(4), repeat=4) if sum(e) == 3), reverse=True)
+
+
+def sampled_equation(model, count=80, seed=0):
+    """Reference: the cubic through `count` embedded plane points, by their monomial matrix.
+
+    The kernel must be one-dimensional, and its canonical vector is taken in
+    the same (lex descending) monomial order as the model's.
+    """
+    rng = random.Random(seed)
+    p = model.field.p
+    images = set()
+    while len(images) < count:
+        raw = [1] + [rng.randint(-9, 9) if p is None else rng.randrange(p) for _ in range(2)]
+        q = normalize(raw, model.field)
+        if not model.is_base(q):
+            images.add(embed(model, q))
+    m = [[math.prod(c**e for c, e in zip(x.coords, expo)) for expo in QUATERNARY_CUBICS]
+         for x in sorted(images, key=lambda x: x.coords)]
+    basis = kernel_basis(m, model.field)
+    assert len(basis) == 1
+    return {e: c for e, c in zip(QUATERNARY_CUBICS, basis[0]) if c}
+
+
+def random_bases(field, count, seed):
+    """`count` random sextuples in general position over the field."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        raw = [(1, rng.randint(-6, 6), rng.randint(-6, 6)) if field.p is None else
+               (1, rng.randrange(field.p), rng.randrange(field.p)) for _ in range(6)]
+        if check_general_position([normalize(r, field) for r in raw])[0]:
+            out.append(raw)
+    return out
+
+
+def test_recovered_equation_is_canonical():
+    cases = [(RATIONALS, None), (F101, None)]
+    for seed, field in enumerate((RATIONALS, F101, Field(31))):
+        cases += [(field, base) for base in random_bases(field, 3, seed)]
+    for field, base in cases:
+        model = BlowupModel.build(base, field)
+        assert model.surface.coeffs == sampled_equation(model), (field, base)
+        assert recover_cubic_equation(model.cubics, field) == model.surface
+
+
+def test_default_base_builds_over_f7():
+    # P^2(F_7) has 57 points, too few to find the equation from 60 sampled images
+    f7 = Field(7)
+    model = BlowupModel.build(field=f7)
+    plane = {normalize(v, f7) for v in itertools.product(range(7), repeat=3) if any(v)}
+    assert len(plane) == 57
+    images = [embed(model, q) for q in plane if not model.is_base(q)]
+    assert len(images) == 51
+    assert all(eval_form(model.surface, x) % 7 == 0 for x in images)
+
+
+def test_build_memory_does_not_grow_with_p():
+    tracemalloc.start()
+    try:
+        BlowupModel.build(field=Field(1009))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 0.1 MB: nothing of size p^2 is built
+    assert peak < 1 << 20
+
+
+def test_split_demo_over_largest_prime():
+    # the address-space cap turns any allocation proportional to p^2 into an
+    # early MemoryError instead of exhausting the machine; one BLAS thread
+    # keeps the address space numpy reserves at import well below it
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+        "from cubicmw.cli import main\n"
+        "sys.exit(main(['split-demo', '--field', 'fp:2147483647', '--samples', '5']))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert out.returncode == 0, out.stderr
+    assert "claim-1 suite: 5 agreed" in out.stdout
 
 
 def test_recovered_equation_vanishes_on_fresh_samples(model_q):
