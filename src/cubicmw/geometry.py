@@ -66,7 +66,7 @@ def _canonical(raw: Sequence[int], field: Field) -> tuple[int, ...]:
     """Canonical representative of a projective vector (point or dual)."""
     v = [int(c) for c in raw]
     if field.p is None:
-        g = math.gcd(*v) if len(v) > 1 else abs(v[0])
+        g = math.gcd(*v)
         if g == 0:
             raise ZeroVector(f"zero vector {tuple(raw)}")
         v = [c // g for c in v]

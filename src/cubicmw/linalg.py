@@ -1,90 +1,87 @@
-"""Exact dense linear algebra over Q (fractions) and prime fields.
+"""Exact dense linear algebra over Q and prime fields, on Python ints.
 
-Small matrices only (at most a few dozen rows); used for kernels of
-evaluation matrices, not for anything performance-critical.
+Kernels and ranks of small matrices: the 6 x 10 cubic-system and 55 x 20
+implicitization matrices of the blow-up model, and the 3 x 4 plane of
+each claim-1 check.  One Gauss-Jordan pass, `_eliminate`, serves both
+fields.  Over F_p the entries are reduced mod p and every pivot is 1.
+Over Q it is fraction-free (Bareiss, Math. Comp. 22 (1968) 565-578): a
+row is cleared as d*row - f*pivot_row and divided by its content, so all
+entries stay integers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+import math
 
-from .geometry import RATIONALS, Field, _canonical
+from .geometry import Field, _canonical
 
 
-def _rref(rows: list[list], field: Field):
-    """In-place reduced row echelon form; returns list of pivot columns."""
-    p = field.p
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+def _eliminate(matrix: list[list[int]], p: int | None):
+    """Reduced row echelon form of a copy of the matrix: (rows, pivot columns).
+
+    Row r has its pivot at column pivots[r] and every other row is 0 there.
+    Over F_p (p prime) the pivot is 1; over Q (p None) each row is a
+    nonzero integer multiple of the rational RREF's row.
+    """
+    rows = [[v % p for v in row] if p is not None else list(row) for row in matrix]
     pivots = []
     r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        lead = rows[r][c]
-        inv = pow(lead, -1, p) if p is not None else Fraction(1, 1) / lead
-        rows[r] = [
-            (v * inv) % p if p is not None else v * inv for v in rows[r]
-        ]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                if p is not None:
-                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-                else:
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        if p is not None:
+            inv = pow(rows[r][c], -1, p)
+            rows[r] = [(v * inv) % p for v in rows[r]]
+        top = rows[r]
+        d = top[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i == r or f == 0:
+                continue
+            if p is not None:
+                rows[i] = [(a - f * b) % p for a, b in zip(row, top)]
+            else:
+                new = [d * a - f * b for a, b in zip(row, top)]
+                g = math.gcd(*new)
+                rows[i] = [v // g for v in new] if g else new
         pivots.append(c)
         r += 1
-        if r == nrows:
+        if r == len(rows):
             break
-    return pivots
-
-
-def _reduced(matrix: list[list[int]], field: Field):
-    """RREF of a copy of the matrix over the field: (rows, pivot columns)."""
-    p = field.p
-    rows = [[v % p if p is not None else Fraction(v) for v in row] for row in matrix]
-    return rows, _rref(rows, field)
-
-
-def _primitive(vec: list[Fraction]) -> tuple[int, ...]:
-    """Clear denominators, then the canonical form over Q: primitive, lead positive."""
-    den = lcm(*(v.denominator for v in vec))
-    return _canonical([int(v * den) for v in vec], RATIONALS)
+    return rows, pivots
 
 
 def kernel_basis(matrix: list[list[int]], field: Field) -> list[tuple[int, ...]]:
-    """Canonical basis of the right kernel, as integer tuples.
+    """Canonical basis of the right kernel, as integer tuples: one vector per free column.
 
-    Over Q the vectors are primitive with positive leading entry; over F_p
-    they are reduced mod p.  The basis is the standard free-variable basis of
-    the RREF, so it is deterministic.
+    With d_r the pivot of row r at column c_r and m the lcm of the pivots,
+    the vector of free column f holds m at f, -row_r[f] * (m // d_r) at
+    each c_r and 0 elsewhere.  Over Q it is made primitive with a positive
+    leading entry; over F_p every d_r is 1, so it is reduced mod p and
+    holds 1 at f, its last nonzero entry.
     """
     if not matrix:
         return []
     p = field.p
-    rows, pivots = _reduced(matrix, field)
+    rows, pivots = _eliminate(matrix, p)
+    m = math.lcm(*[row[c] for row, c in zip(rows, pivots)])
     ncols = len(matrix[0])
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols if p is None else [0] * ncols
-        vec[f] = Fraction(1) if p is None else 1
-        for r, c in enumerate(pivots):
-            v = -rows[r][f]
-            vec[c] = v % p if p is not None else v
-        if p is not None:
-            basis.append(tuple(vec))
-        else:
-            basis.append(_primitive(vec))
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [0] * ncols
+        vec[f] = m
+        for row, c in zip(rows, pivots):
+            vec[c] = -row[f] * (m // row[c])
+        basis.append(_canonical(vec, field) if p is None else tuple([v % p for v in vec]))
     return basis
 
 
 def rank(matrix: list[list[int]], field: Field) -> int:
-    return len(_reduced(matrix, field)[1])
+    return len(_eliminate(matrix, field.p)[1])
 
 
 def det3(a, b, c) -> int:

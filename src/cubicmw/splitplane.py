@@ -29,6 +29,7 @@ from .errors import (
     DimensionMismatch,
     InvalidBound,
     NotOnSection,
+    ZeroVector,
 )
 from .geometry import (
     CubicForm,
@@ -203,7 +204,7 @@ def twisted_cubic_samples(
             break
         try:
             q = normalize(raw, model.field)
-        except Exception:
+        except ZeroVector:
             continue
         try:
             out.append(embed(model, q))

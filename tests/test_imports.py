@@ -1,9 +1,10 @@
-"""Every module of the package uses what it imports.
+"""Every module of the package uses what it imports, and none imports `fractions`.
 
 No linter runs on the package, so this walks each module's syntax tree:
 a name bound by an import must be read somewhere in the module.  Package
 `__init__.py` files re-export, and a line marked `# noqa: F401` keeps an
-import on purpose.
+import on purpose.  Exact kernels work on Python ints alone, so no module
+may import `fractions`.
 """
 
 import ast
@@ -15,20 +16,38 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "cubicmw"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
+def import_nodes(tree: ast.AST) -> list[ast.Import | ast.ImportFrom]:
+    """The import statements of a syntax tree, `from __future__` left out."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+    ]
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules a source imports; relative imports left out."""
+    modules = set()
+    for node in import_nodes(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif node.level == 0:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
 def unused_imports(source: str) -> list[str]:
     """The names that an import binds and the module never reads, as `line: name`."""
     tree = ast.parse(source)
     lines = source.splitlines()
     bound = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
-            if any("# noqa: F401" in lines[i - 1] for i in range(node.lineno, node.end_lineno + 1)):
-                continue
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                bound.append((node.lineno, name))
+    for node in import_nodes(tree):
+        if any("# noqa: F401" in lines[i - 1] for i in range(node.lineno, node.end_lineno + 1)):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            bound.append((node.lineno, name))
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return [f"{line}: {name}" for line, name in sorted(bound) if name not in read]
 
@@ -41,3 +60,13 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_imported_modules_are_found():
+    source = "import os.path\nfrom fractions import Fraction\nfrom . import geometry\n"
+    assert imported_modules(source) == {"os", "fractions"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_does_not_import_fractions(path):
+    assert "fractions" not in imported_modules(path.read_text())

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cubicmw import (
     Field,
+    ProjPoint,
     RATIONALS,
     check_general_position,
     cubic_system_basis,
@@ -263,6 +264,15 @@ def test_twisted_cubic_skips_base_points(model_q):
     a, b = model_q.base[0], model_q.base[1]
     _, skipped = twisted_cubic_samples(model_q, a, b, 5)
     assert skipped >= 1
+
+
+def test_twisted_cubic_skips_only_the_zero_vector(model_101):
+    # a + t*a vanishes at t = p - 1; every other candidate is a again
+    a = normalize((1, 5, 2), F101)
+    samples, skipped = twisted_cubic_samples(model_101, a, a, 101)
+    assert samples == [embed(model_101, a)] * 101 and skipped == 0
+    with pytest.raises(DimensionMismatch):
+        twisted_cubic_samples(model_101, a, ProjPoint((1, 0), F101), 3)
 
 
 def _sections_through(model, x3, y3):
