@@ -36,7 +36,7 @@ from .decompose import (
     strong_decompositions,
     weak_closure,
 )
-from .planecubic import PlaneCubic, cubic_compose, curve_points, group_add
+from .planecubic import PlaneCubic, cubic_compose, group_add
 from .splitplane import (
     BlowupModel,
     check_general_position,
@@ -46,7 +46,6 @@ from .splitplane import (
     plane_closure,
     quaternary_star,
     recover_cubic_equation,
-    twisted_cubic_samples,
     verify_claim1,
 )
 

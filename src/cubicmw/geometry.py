@@ -2,13 +2,14 @@
 
 Projective vectors (points, and by duality lines and planes) and integer
 cubic forms with evaluation, gradient and polarization.  All arithmetic is
-exact; nothing here uses floating point.  The value, the gradient, the
-polar expansion and the canonical form also run on batches of points, one
-point a row: over Q int64 rows or object rows of Python ints, over F_p
-int64 rows of residues.  Their arithmetic is elementwise, so one loop
-serves a point and a batch.  `Field` keeps p below 2^31, so a residue is
-below 2^31 and a product of two below 2^62; over F_p each product is
-reduced as soon as it is formed, and no int64 entry wraps.
+exact; nothing here uses floating point.  The value, the gradient, its dot
+product with a second point, the polar expansion and the canonical form
+also run on batches of points, one point a row: over Q int64 rows or
+object rows of Python ints, over F_p int64 rows of residues.  Their
+arithmetic is elementwise, so one loop serves a point and a batch.
+`Field` keeps p below 2^31, so a residue is below 2^31 and a product of
+two below 2^62; over F_p each product is reduced as soon as it is formed,
+and no int64 entry wraps.
 """
 
 from __future__ import annotations
@@ -156,13 +157,6 @@ def dot_rows(U: np.ndarray, V: np.ndarray, p: int | None = None) -> np.ndarray:
     return (U * V % p).sum(axis=1) % p
 
 
-def incident(dual: ProjPoint, x: ProjPoint) -> bool:
-    """Whether x lies on the line or plane with dual coordinates `dual`."""
-    if dual.dim != x.dim:
-        raise DimensionMismatch(f"dual vector {dual} and point {x} differ in length")
-    return dot(dual.coords, x.coords, x.field.p) == 0
-
-
 @dataclass
 class CubicForm:
     """Integer homogeneous cubic form, stored sparsely by exponent multi-index."""
@@ -260,6 +254,23 @@ def eval_rows(form: CubicForm, X: np.ndarray, p: int | None = None) -> np.ndarra
 def gradient_rows(form: CubicForm, X: np.ndarray, p: int | None = None) -> np.ndarray:
     """`gradient` at each row of X: points over Q, or residues mod p over F_p."""
     return np.column_stack(np.broadcast_arrays(*_partials(form, X.T, p)))
+
+
+def gradient_dot_rows(
+    form: CubicForm, V: np.ndarray, W: np.ndarray, p: int | None = None
+) -> np.ndarray:
+    """`dot_rows(gradient_rows(form, V, p), W, p)`, one term c·v_a·v_b·w_t at a time.
+
+    The gradient rows are never formed.
+    """
+    v, w = V.T, W.T
+    total = 0
+    for t, c, a, b in form._grad_terms:
+        if p is None:
+            total = total + c * v[a] * v[b] * w[t]
+        else:
+            total = (total + c % p * (v[a] * v[b] % p) % p * w[t]) % p
+    return total
 
 
 def _polar(form: CubicForm, x, y) -> list:

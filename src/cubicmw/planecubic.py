@@ -45,9 +45,6 @@ class PlaneCubic:
     def contains(self, x: ProjPoint) -> bool:
         return eval_form(self.form, x) == 0
 
-    def is_smooth_at(self, x: ProjPoint) -> bool:
-        return any(gradient(self.form, x))
-
 
 def _smooth_gradient(curve: PlaneCubic, x: ProjPoint) -> tuple[int, ...]:
     """The gradient at x, after checking that x is a smooth point of the cubic."""
@@ -134,8 +131,3 @@ def curve_rows(curve: PlaneCubic) -> np.ndarray:
         X = np.column_stack([a < p, np.where(a < p, a, a == p), np.where(a > p, 1, b)])
         found.append(X[eval_rows(curve.form, X, p) == 0])
     return np.concatenate(found)
-
-
-def curve_points(curve: PlaneCubic) -> list[ProjPoint]:
-    """All points of the cubic over its prime field, in the scan order of `curve_rows`."""
-    return [ProjPoint(tuple(x), curve.field) for x in curve_rows(curve).tolist()]

@@ -11,7 +11,14 @@ one draw at a time.  The registry's points and gradients are rows of
 `point_rows`, int64 while no composition of two of them can wrap, so the
 first compositions of a draw run on int64 rows with the gradients looked
 up; every composed point is an object row of Python ints, so the later
-steps stay exact.  The tangent suite expands F(x + t·y) on the int64
+steps stay exact.  The sextuple suite composes projectively: its chain
+runs on `third_rows`, each step's row divided by gcd(c1, c2) to shed the
+scalar its inputs carry, and only the last row is brought to canonical
+form, once per draw, to compare with z.  A composition's row scales with
+its inputs and is zero exactly where the composition is undefined, and a
+zero row composes to zero, so a draw's last row is nonzero, and a
+multiple of z, exactly where the chain of canonical points is defined
+and ends at z.  The tangent suite expands F(x + t·y) on the int64
 rows too while no coefficient of the expansion can reach 2^63, and on
 Python ints otherwise.  A batch never holds more draws than trials are
 missing, and its outcomes are counted in draw order, so every count, and
@@ -31,11 +38,25 @@ import numpy as np
 
 from .enumeration import PointRegistry
 from .errors import CubicError, DegenerateSample
-from .geometry import CubicForm, Field, ProjPoint, dot_rows, gradient_rows, polar_rows
+from .geometry import (
+    CubicForm,
+    Field,
+    ProjPoint,
+    canonical_rows,
+    dot_rows,
+    gradient_rows,
+    polar_rows,
+)
 from .planecubic import PlaneCubic, _tangent_value, curve_rows
 # bench/workload.py counts calls of relations.secant_compose; the batched
 # compositions of the registry suites are not such calls
-from .surface import compose_rows, point_rows, polar_point_rows, secant_compose  # noqa: F401
+from .surface import (  # noqa: F401
+    compose_rows,
+    point_rows,
+    polar_point_rows,
+    secant_compose,
+    third_rows,
+)
 
 # Draws checked at once; it bounds the size, and so the memory, of a batch's
 # arrays.  Larger batches spread numpy's cost per call over more draws; past
@@ -205,14 +226,13 @@ def sextuple_suite(registry: PointRegistry, trials: int, seed: int = 0) -> Suite
     def check(draws):
         x, y, z = draws.T
         X, Y, GX, GY = P[x], P[y], G[x], G[y]
-        W, defined = compose_rows(form, X, Y, GX, GY)
+        W = third_rows(form, X, Y, GX, GY)
         GW = gradient_rows(form, W)
-        cur, ok = compose_rows(form, Y, P[z], GY, G[z])
-        defined &= ok
+        cur = third_rows(form, Y, P[z], GY, G[z])
         for T, GT in ((W, GW), (X, GX), (Y, GY), (W, GW), (X, GX)):
-            cur, ok = compose_rows(form, T, cur, GT)
-            defined &= ok
-        return _outcomes(defined, (cur == P[z]).all(axis=1))
+            cur = third_rows(form, T, cur, GT)
+        Z, defined = canonical_rows(cur)
+        return _outcomes(defined, (Z == P[z]).all(axis=1))
 
     return _run("sextuple relation", trials, draw, check)
 

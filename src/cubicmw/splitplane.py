@@ -29,7 +29,6 @@ from .errors import (
     DimensionMismatch,
     InvalidBound,
     NotOnSection,
-    ZeroVector,
 )
 from .geometry import (
     CubicForm,
@@ -185,32 +184,6 @@ def quaternary_star(
     if model.is_base(x):
         raise BasePointResult(f"{x} is blown down; the twisted cubics meet a common line")
     return x
-
-
-def twisted_cubic_samples(
-    model: BlowupModel, a: ProjPoint, b: ProjPoint, n: int
-) -> tuple[list[ProjPoint], int]:
-    """n embedded points of the twisted cubic over the line (a,b), plus skip count."""
-    p = model.field.p
-    ts = range(4 * n + 24) if p is None else range(p)
-    out = []
-    skipped = 0
-    candidates = itertools.chain(
-        (tuple(xa + t * xb for xa, xb in zip(a.coords, b.coords)) for t in ts),
-        [b.coords],
-    )
-    for raw in candidates:
-        if len(out) == n:
-            break
-        try:
-            q = normalize(raw, model.field)
-        except ZeroVector:
-            continue
-        try:
-            out.append(embed(model, q))
-        except BasePoint:
-            skipped += 1
-    return out, skipped
 
 
 def pullback_cubic(model: BlowupModel, section: ProjPoint) -> PlaneCubic:

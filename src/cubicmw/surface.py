@@ -4,9 +4,13 @@ x o y is the third intersection of the line through x, y with the surface;
 it is partial (undefined when the line lies on the surface) and multivalued
 at x = y, where the value set is the tangent-plane section.  The latter is
 exposed as the binary relation `on_tangent_section`.  `third_point` is
-the composition of one point pair on any cubic, given the gradients, and
-`compose_rows` that of a batch of pairs at once, over Q on the rows of
-`point_rows` and over F_p on int64 rows of residues; both serve plane
+the composition of one point pair on any cubic, given the gradients.  A
+batch of pairs is composed projectively by `third_rows`: each row is a
+nonzero multiple of x o y where it is defined and zero where it is not,
+whatever the scale of the input rows, so a chain of compositions needs a
+canonical form only where points are compared; `compose_rows` is that
+canonical form of `third_rows`.  Both run over Q on the rows of
+`point_rows` and over F_p on int64 rows of residues, and both serve plane
 cubics too.
 """
 
@@ -25,6 +29,7 @@ from .geometry import (
     dot_rows,
     eval_form,
     gradient,
+    gradient_dot_rows,
     gradient_rows,
     normalize,
 )
@@ -123,29 +128,48 @@ def polar_point_rows(form: CubicForm, P: np.ndarray) -> np.ndarray:
     return P if bound < _INT64_BOUND else P.astype(object)
 
 
+def third_rows(
+    form: CubicForm, X, Y, GX=None, GY=None, p: int | None = None
+) -> np.ndarray:
+    """c2·x − c1·y for each row pair of X and Y: `secant_compose` up to a scalar.
+
+    X, Y, GX and GY are as for `compose_rows`; a missing gradient is dotted
+    term by term.  The row is zero exactly where `secant_compose` raises
+    (distinct points are independent; at y = λx Euler's identity gives
+    c2·x = c1·y) or an input row is zero, and at λx and μy it is λ²μ²
+    times the row at x and y.
+    Over Q, c1 and c2 are first divided by gcd(c1, c2), a multiple of λμ,
+    so a chain does not pile up its steps' scalars, and the row is an
+    object row of Python ints: a composed point's gradient can pass 2^63
+    where the points' own cannot.  On int64 rows of `point_rows` the
+    undivided row already fits in int64.  Over F_p the rows are int64 and
+    hold the row's residues.
+    """
+    c1 = gradient_dot_rows(form, X, Y, p) if GX is None else dot_rows(GX, Y, p)
+    c2 = gradient_dot_rows(form, Y, X, p) if GY is None else dot_rows(GY, X, p)
+    if p is None:
+        g = np.gcd(c1, c2)
+        g[g == 0] = 1
+        c1, c2 = c1 // g, c2 // g
+    raw = c2[:, None] * X
+    raw -= c1[:, None] * Y  # in place: one array of big integers fewer at the peak
+    return raw if p is not None else raw.astype(object, copy=False)
+
+
 def compose_rows(
     form: CubicForm, X, Y, GX=None, GY=None, p: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """`secant_compose` of each row pair of X and Y, as canonical rows.
 
-    Over Q, X and Y are 2-d object arrays of Python ints or rows of
-    `point_rows`, normalized points; over F_p they are int64 rows of
-    residues, normalized or not.  GX and GY are their rows' gradients when
-    already known, in the dtype of their rows.  Returns (Z, ok), Z the
-    `normalize` of each row: int64 over F_p, and over Q an object array
-    whatever the input, since a composed point's gradient can pass 2^63
-    where the points' own cannot.
-    ok is False exactly where `secant_compose` raises, and Z's row is zero
-    there.  Both cases make c2·x − c1·y the zero vector, and only they do:
-    distinct points are independent, and at y = λx Euler's identity gives
-    c2·x = c1·y.
+    Over Q, X and Y are rows of `point_rows` or 2-d object arrays of
+    Python ints, projective vectors in any scale; over F_p they are int64
+    rows of residues, normalized or not.  GX and GY are their rows'
+    gradients when already known, in the dtype of their rows.  Returns
+    (Z, ok): Z the `normalize` of each row of `third_rows`, int64 over F_p
+    and an object array over Q, and ok False exactly where
+    `secant_compose` raises, where Z's row is zero.
     """
-    c1 = dot_rows(gradient_rows(form, X, p) if GX is None else GX, Y, p)
-    c2 = dot_rows(gradient_rows(form, Y, p) if GY is None else GY, X, p)
-    raw = c2[:, None] * X
-    raw -= c1[:, None] * Y  # in place: one array of big integers fewer at the peak
-    Z, ok = canonical_rows(raw, p)
-    return (Z.astype(object, copy=False) if p is None else Z), ok
+    return canonical_rows(third_rows(form, X, Y, GX, GY, p), p)
 
 
 def on_tangent_section(surface: CubicSurface, x: ProjPoint, y: ProjPoint) -> bool:

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import os
 import random
 import subprocess
@@ -14,8 +15,9 @@ from cubicmw import (
     CubicSurface,
     Field,
     PointRegistry,
-    curve_points,
+    ProjPoint,
     enumerate_points,
+    gradient,
     group_add,
     normalize,
     on_tangent_section,
@@ -27,7 +29,7 @@ from cubicmw import (
 )
 from cubicmw.errors import CubicError, DegenerateSample
 from cubicmw.geometry import gradient_rows, polar_rows
-from cubicmw.planecubic import PlaneCubic
+from cubicmw.planecubic import PlaneCubic, curve_rows
 from cubicmw.relations import (
     group_law_suite,
     involution_suite,
@@ -35,7 +37,7 @@ from cubicmw.relations import (
     sextuple_suite,
     tangent_consistency_suite,
 )
-from cubicmw.surface import compose_rows, point_rows
+from cubicmw.surface import compose_rows, point_rows, third_rows
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -106,6 +108,92 @@ def test_composed_rows_are_object_rows(registry_1100):
     assert GZ.tolist() == gradient_rows(form, W).tolist()
     assert max(map(abs, GZ.ravel().tolist())) > 2**63
     assert gradient_rows(form, Z.astype(np.int64)).tolist() != GZ.tolist()
+
+
+def per_step_sextuple_check(form, P, G):
+    """The sextuple check with every step's point in canonical form, by
+    `compose_rows`, on the registry's `point_rows` P and G."""
+
+    def check(draws):
+        x, y, z = draws.T
+        X, Y, GX, GY = P[x], P[y], G[x], G[y]
+        W, defined = compose_rows(form, X, Y, GX, GY)
+        GW = gradient_rows(form, W)
+        cur, ok = compose_rows(form, Y, P[z], GY, G[z])
+        defined &= ok
+        for T, GT in ((W, GW), (X, GX), (Y, GY), (W, GW), (X, GX)):
+            cur, ok = compose_rows(form, T, cur, GT)
+            defined &= ok
+        return np.where(defined, (cur == P[z]).all(axis=1), None).tolist()
+
+    return check
+
+
+_RUN = relations._run
+
+
+@pytest.mark.parametrize(
+    "coeffs, height, trials, seed",
+    [((1, 2, 3, 4), 1100, 1500, 1), ((1, 1, 1, 1), 30, 150, 11)],
+    ids=["zagier-1100", "fermat-30"],
+)
+def test_sextuple_outcomes_match_per_step_chain(monkeypatch, coeffs, height, trials, seed):
+    # draw by draw, skips included: the projective chain is defined, and
+    # holds, exactly where the chain of canonical points is and does
+    reg = enumerate_points(coeffs, height)
+    form = reg.surface.form
+    for dtype in row_paths(monkeypatch, reg):
+        reference = per_step_sextuple_check(form, *point_rows(form, reg.points))
+        for batch in (relations._BATCH, 7, 1):
+            got, want = [], []
+
+            def run(name, trials, draw, check):
+                def both(draws):
+                    out = check(draws)
+                    got.extend(out)
+                    want.extend(reference(draws))
+                    return out
+
+                return _RUN(name, trials, draw, both)
+
+            monkeypatch.setattr(relations, "_run", run)
+            monkeypatch.setattr(relations, "_BATCH", batch)
+            sextuple_suite(reg, trials, seed)
+            assert None in got and got == want, (dtype, batch)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(*[st.integers(-(2**12), 2**12)] * 4).filter(any), min_size=2, max_size=6),
+    st.sampled_from([(1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1)]),
+)
+def test_third_rows_int64_edge(rows, signs):
+    # the form Σ s_i·(a + i)·x_i³ at the largest a for which `point_rows`
+    # keeps the rows int64, where c2·x − c1·y reaches about 2^58, and at
+    # a + 1, where it falls back: third_rows on the rows, with the
+    # gradients looked up or dotted term by term, equals its result on
+    # Python ints
+    M = max(abs(c) for r in rows for c in r)
+
+    def guard(a):  # 32·max|grad F|·max|x|², as `point_rows` computes it
+        return 32 * max(3 * (a + i) * r[i] ** 2 for r in rows for i in range(4)) * M**2
+
+    lo, hi = 1, 2**63
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if guard(mid) < 2**63 else (lo, mid)
+    pts = [ProjPoint(r) for r in rows]
+    x, y = np.array(list(itertools.permutations(range(len(rows)), 2))).T
+    for a, dtype in ((lo, np.int64), (lo + 1, object)):
+        form = CubicForm.diagonal([s * (a + i) for i, s in enumerate(signs)])
+        P, G = point_rows(form, pts)
+        assert P.dtype == G.dtype == dtype
+        Q, H = P.astype(object), G.astype(object)
+        exact = third_rows(form, Q[x], Q[y], H[x], H[y])
+        assert exact.dtype == object
+        for GX, GY in ((G[x], G[y]), (None, None)):
+            assert third_rows(form, P[x], P[y], GX, GY).tolist() == exact.tolist()
+        assert third_rows(form, Q[x], Q[y]).tolist() == exact.tolist()
 
 
 def per_draw_tangent_consistency(registry, trials, seed):
@@ -223,7 +311,8 @@ def per_draw_group_law(trials, seed, p, diagonal):
     the suite's.
     """
     curve = PlaneCubic(CubicForm.diagonal(diagonal), Field(p))
-    pts = [x for x in curve_points(curve) if curve.is_smooth_at(x)]
+    pts = [ProjPoint(tuple(x), curve.field) for x in curve_rows(curve).tolist()]
+    pts = [x for x in pts if any(gradient(curve.form, x))]
     if len(pts) < 4:
         raise DegenerateSample(f"the suite draws 4 distinct points, there are {len(pts)}")
     rng = random.Random(seed)

@@ -24,7 +24,6 @@ from cubicmw import (
     plane_closure,
     quaternary_star,
     recover_cubic_equation,
-    twisted_cubic_samples,
     verify_claim1,
 )
 from cubicmw.errors import (
@@ -35,6 +34,7 @@ from cubicmw.errors import (
     DegenerateSeeds,
     DimensionMismatch,
     InvalidBound,
+    ZeroVector,
 )
 from cubicmw import splitplane
 from cubicmw.geometry import line_through, meet
@@ -236,6 +236,30 @@ def test_recovered_equation_vanishes_on_fresh_samples(model_q):
             assert eval_form(model_q.surface, embed(model_q, q)) == 0
             count += 1
     assert count >= 60
+
+
+def twisted_cubic_samples(model, a, b, n):
+    """n embedded points of the twisted cubic over the line (a,b), plus skip count."""
+    p = model.field.p
+    ts = range(4 * n + 24) if p is None else range(p)
+    out = []
+    skipped = 0
+    candidates = itertools.chain(
+        (tuple(xa + t * xb for xa, xb in zip(a.coords, b.coords)) for t in ts),
+        [b.coords],
+    )
+    for raw in candidates:
+        if len(out) == n:
+            break
+        try:
+            q = normalize(raw, model.field)
+        except ZeroVector:
+            continue
+        try:
+            out.append(embed(model, q))
+        except BasePoint:
+            skipped += 1
+    return out, skipped
 
 
 def test_quaternary_star_example(model_q):

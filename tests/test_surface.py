@@ -18,7 +18,7 @@ from cubicmw import (
 from cubicmw.errors import EqualPoints, InvalidCoefficients, LineOnSurface, NotOnSurface
 from cubicmw.linalg import rank
 from cubicmw.geometry import RATIONALS
-from cubicmw.surface import compose_rows
+from cubicmw.surface import compose_rows, third_rows
 
 
 def sp(surface, raw):
@@ -164,3 +164,17 @@ def test_compose_rows_match_secant_compose(registry_200, registry_fermat_30, fer
             assert not defined and not any(z)
         else:
             assert defined and tuple(z) == expected.coords
+    # third_rows, on the pairs and on the pairs scaled by λ and μ: a nonzero
+    # multiple of the composition where it is defined, zero where it is not
+    scale = st.integers(-(2**70), 2**70).filter(bool)
+    lam, mu = (
+        np.array(data.draw(st.lists(scale, min_size=len(pairs), max_size=len(pairs))),
+                 dtype=object)[:, None]
+        for _ in range(2)
+    )
+    for A, B in ((X, Y), (lam * X, mu * Y)):
+        R = third_rows(surface.form, A, B)
+        assert R.dtype == object
+        assert R.any(axis=1).tolist() == ok.tolist()
+        minors = R[:, :, None] * Z[:, None, :] - R[:, None, :] * Z[:, :, None]
+        assert not (minors != 0).any()
