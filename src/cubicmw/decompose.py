@@ -49,10 +49,10 @@ class CompositionTable:
         return index
 
 
-# Pairs (i, j), j > i, per row block of `build_table`.  At H=1100 (379
-# points, 2 vCPUs) blocks of 2^10, 2^11, 2^12 and 2^13 pairs took 0.036,
-# 0.031, 0.029 and 0.029 s, with a tracemalloc peak of 0.52, 0.72, 1.23
-# and 2.01 MB for the call.
+# Pairs (i, j), j > i, per row block of `build_table`.  On 2 vCPUs blocks of
+# 2^10..2^13 pairs took 14.6, 11.1, 9.5, 10.2 ms (tracemalloc peak 0.56,
+# 0.65, 1.08, 1.73 MB) at H=1100 and 0.87, 0.61, 0.54, 0.49 s (4.9, 6.5,
+# 6.9, 8.8 MB) at H=8000.
 _BLOCK = 2**12
 
 
@@ -68,6 +68,15 @@ def _row_blocks(n: int):
         i = e
 
 
+def _bucket(v0, v1) -> np.ndarray:
+    """Per entry floor(2^16·|v0| / (|v0| + |v1|)), 0 if both are 0, -1 if |v0| + |v1| >= 2^53."""
+    a = np.abs(v0)
+    s = a + np.abs(v1)
+    q = (a / np.maximum(s, 1) * 2**16).astype(np.int64)
+    q[s >= 2**53] = -1
+    return q
+
+
 def build_table(registry: PointRegistry) -> CompositionTable:
     """Evaluate all unordered pairs and all tangent-section rows.
 
@@ -79,9 +88,13 @@ def build_table(registry: PointRegistry) -> CompositionTable:
     c2 = grad F(x_j)·x_r over all j.  x_j (j != r) lies on the tangent
     section at x_r when c1 = 0, the line through x_r, x_j lies on the
     surface when c1 = c2 = 0, and otherwise x_r o x_j is c2·x_r − c1·x_j,
-    normalized.  Only candidates no higher than the highest registry point
-    are looked up in the index.  Pairs are taken in row-major order, so
-    `in_vh` is filled in ascending (r, j) order.
+    normalized.  Only its first two entries r0, r1 are formed for every pair,
+    the rest only when `_bucket(r0, r1)` is a registry point's bucket.  A hit
+    λ·x_k has x_k's rational as its quotient, and below 2^53 both are
+    correctly rounded divisions of exact integers, so no hit is lost.  Only
+    candidates no higher than the highest registry point are looked up in
+    the index.  Pairs are taken in row-major order, so `in_vh` is filled in
+    ascending (r, j) order.
 
     P and G are the rows of `point_rows`: int64 while no entry can wrap.
     """
@@ -92,6 +105,10 @@ def build_table(registry: PointRegistry) -> CompositionTable:
     P, G = point_rows(registry.surface.form, registry.points)
     cap = max(height(x) for x in registry.points)
     index = registry.index
+    x0, x1 = P[:, :2].T.copy()
+    marked = np.zeros(2**16 + 2, dtype=bool)  # buckets 0..2^16, then -1
+    marked[_bucket(x0, x1)] = True
+    marked[-1] = True
     cols = np.arange(n)
     for i, e in _row_blocks(n):
         rows = cols[i:e, None]
@@ -112,16 +129,11 @@ def build_table(registry: PointRegistry) -> CompositionTable:
         r, j = np.nonzero(upper & ~on_surface)
         a, b = c1[r, j], c2[r, j]
         r += i
-        raw = b[:, None] * P[r] - a[:, None] * P[j]
-        aq = np.abs(raw).sum(axis=1)
-        # the gcd g divides g2 = gcd(raw0, raw1), so g <= g2 unless g2 = 0, and
-        # aq // g2 > cap rejects most pairs before the full gcd (floor
-        # division: cap * g2 can wrap); a canonical row's height is aq / g
-        g2 = np.gcd(raw[:, 0], raw[:, 1])
-        near = (g2 == 0) | (aq // np.maximum(g2, 1) <= cap)
-        z, _ = canonical_rows(raw[near])
+        near = marked[_bucket(b * x0[r] - a * x0[j], b * x1[r] - a * x1[j])]
+        a, b, r, j = a[near], b[near], r[near], j[near]
+        z, _ = canonical_rows(b[:, None] * P[r] - a[:, None] * P[j])
         low = np.abs(z).sum(axis=1) <= cap
-        r, j = r[near][low], j[near][low]
+        r, j = r[low], j[low]
         for key, pair in zip(z[low].tolist(), zip((r + 1).tolist(), (j + 1).tolist())):
             k = index.get(tuple(key))
             if k is not None:

@@ -3,8 +3,9 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cubicmw import (
     CompositionTable,
@@ -28,10 +29,11 @@ from cubicmw.decompose import (
     DecompositionReport,
     Scheme,
     _MinMaxPass,
+    _bucket as bucket,
     cap_profile,
     evaluate_scheme,
 )
-from cubicmw.errors import EqualPoints, LineOnSurface, ParseError
+from cubicmw.errors import EmptyRegistry, EqualPoints, LineOnSurface, ParseError
 from cubicmw.surface import point_rows
 
 
@@ -70,6 +72,30 @@ def table_by_pairs(registry):
     return in_vh, undefined, tangent
 
 
+def fermat_line_registry(ns, width=None):
+    """Fermat points (1, -1, n, -n), (1, n, -1, -n), (n, -n, 1, -1) for n in ns,
+    the points of height <= 3, and the compositions of the former with both
+    that have no coordinate above width."""
+    surface = CubicSurface.diagonal((1, 1, 1, 1))
+    small = enumerate_points((1, 1, 1, 1), 3).points
+    big = []
+    for n in ns:
+        for raw in ((1, -1, n, -n), (1, n, -1, -n), (n, -n, 1, -1)):
+            big.append(surface_point(surface, normalize(raw)))
+    composed = []
+    for x in big:
+        for y in big + small[:4]:
+            try:
+                z = secant_compose(surface, x, y)
+            except (EqualPoints, LineOnSurface):
+                continue
+            if width is None or max(map(abs, z.coords)) <= width:
+                composed.append(z)
+    pts = set(small + big + composed)
+    ordered = sorted(pts, key=lambda x: (height(x), x.coords))
+    return PointRegistry(surface, height(ordered[-1]), ordered)
+
+
 @pytest.fixture(scope="module")
 def big_registry():
     """Fermat points with coordinates near 10^6 plus some of their compositions.
@@ -77,22 +103,7 @@ def big_registry():
     Gradients times squared coordinates exceed 2^63 here, so the table is
     built on Python ints; lines like x1 + x2 = x3 + x4 = 0 lie on the surface.
     """
-    surface = CubicSurface.diagonal((1, 1, 1, 1))
-    small = enumerate_points((1, 1, 1, 1), 3).points
-    big = []
-    for n in (10**6, 10**6 + 1):
-        for raw in ((1, -1, n, -n), (1, n, -1, -n), (n, -n, 1, -1)):
-            big.append(surface_point(surface, normalize(raw)))
-    composed = []
-    for x in big:
-        for y in big + small[:4]:
-            try:
-                composed.append(secant_compose(surface, x, y))
-            except (EqualPoints, LineOnSurface):
-                pass
-    pts = set(small + big + composed)
-    ordered = sorted(pts, key=lambda x: (height(x), x.coords))
-    return PointRegistry(surface, height(ordered[-1]), ordered)
+    return fermat_line_registry((10**6, 10**6 + 1))
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +243,52 @@ def test_table_holds_plain_ints(table_300, big_table):
         values += [v for pair in table.undefined for v in pair]
         values += [v for i, row in table.tangent.items() for v in (i, *row)]
         assert all(type(v) is int for v in values)
+
+
+def test_table_past_float64_precision_matches_pair_oracle(monkeypatch):
+    # coordinates near 10^4 keep the rows int64, but the first two entries of
+    # some candidate rows sum past 2^53, where int64 need not convert exactly
+    registry = fermat_line_registry((10**4, 10**4 + 1), width=2 * 10**4)
+    P, G = point_rows(registry.surface.form, registry.points)
+    assert P.dtype == G.dtype == np.int64
+    wide = []
+
+    def spy(v0, v1):
+        wide.append(int(((np.abs(v0) + np.abs(v1)) >= 2**53).sum()))
+        return bucket(v0, v1)
+
+    monkeypatch.setattr(decompose, "_bucket", spy)
+    assert table_items(build_table(registry)) == oracle_items(registry)
+    assert sum(wide) > 0
+
+
+@pytest.mark.parametrize("name", ["table_1100", "fermat_table"])
+def test_hit_shares_its_targets_bucket(request, name):
+    """What the table's reject rests on: c2·x_i − c1·x_j = λ·x_k falls in x_k's bucket."""
+    table = request.getfixturevalue(name)
+    P, G = point_rows(table.registry.surface.form, table.registry.points)
+    i, j = (np.array(list(table.in_vh)) - 1).T
+    k = np.array(list(table.in_vh.values())) - 1
+    c1 = (G[i] * P[j]).sum(axis=1)
+    c2 = (G[j] * P[i]).sum(axis=1)
+    row = c2[:, None] * P[i] - c1[:, None] * P[j]
+    assert (bucket(row[:, 0], row[:, 1]) == bucket(P[k, 0], P[k, 1])).all()
+
+
+nonzero = st.integers(-9, 9).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(nonzero, nonzero, nonzero, nonzero), st.integers(1, 40))
+def test_table_matches_pair_oracle_on_random_surfaces(coeffs, bound):
+    registry = enumerate_points(coeffs, bound)
+    # the oracle composes every pair in Python: (1, -1, 1, -1) has 837 points at H=40
+    assume(len(registry) <= 250)
+    if not len(registry):
+        with pytest.raises(EmptyRegistry):
+            build_table(registry)
+        return
+    assert table_items(build_table(registry)) == oracle_items(registry)
 
 
 def test_table_symmetry(table_300):
