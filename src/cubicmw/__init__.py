@@ -10,7 +10,6 @@ from .geometry import (
     line_through,
     meet,
     normalize,
-    polar_coeffs,
 )
 from .surface import (
     CubicSurface,

@@ -121,10 +121,7 @@ def _sorted_registry(surface: CubicSurface, bound: int, vectors) -> PointRegistr
     new = np.ones(len(rows), dtype=bool)
     new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     rows = rows[new]
-    a = _diagonal_coeffs(surface)
-    # every partial sum of a_i*x_i^3 is below sum|a_i| * bound^3 in size
-    wide = rows if sum(map(abs, a)) * bound**3 < 2**63 else rows.astype(object)
-    off = np.flatnonzero(eval_rows(surface.form, wide))
+    off = np.flatnonzero(eval_rows(surface.form, rows))
     points = [ProjPoint(x) for x in map(tuple, rows.tolist())]
     if len(off):
         surface_point(surface, points[off[0]])

@@ -1,12 +1,12 @@
 """Exact projective arithmetic over Q and small prime fields.
 
 Projective vectors (points, and by duality lines and planes) and integer
-cubic forms with evaluation, gradient and polarization.  All arithmetic is
-exact; nothing here uses floating point.  The value, the gradient, its dot
-product with a second point, the polar expansion and the canonical form
-also run on batches of points, one point a row: over Q int64 rows or
-object rows of Python ints, over F_p int64 rows of residues.  Their
-arithmetic is elementwise, so one loop serves a point and a batch.
+cubic forms with evaluation and gradient.  All arithmetic is exact; nothing
+here uses floating point.  The value, the gradient, its dot product with a
+second point and the canonical form also run on batches of points, one
+point a row: over Q int64 rows or object rows of Python ints, over F_p
+int64 rows of residues.  Their arithmetic is elementwise, so one loop
+serves a point and a batch.
 `Field` keeps p below 2^31, so a residue is below 2^31 and a product of
 two below 2^62; over F_p each product is reduced as soon as it is formed,
 and no int64 entry wraps.
@@ -247,7 +247,15 @@ def gradient(form: CubicForm, x: ProjPoint) -> tuple[int, ...]:
 
 
 def eval_rows(form: CubicForm, X: np.ndarray, p: int | None = None) -> np.ndarray:
-    """`eval_form` at each row of X: points over Q, or residues mod p over F_p."""
+    """`eval_form` at each row of X: points over Q, or residues mod p over F_p.
+
+    Over Q every partial product and partial sum of F's terms is at most
+    Σ|c|·m³ in size, m = max(1, max|x|), so int64 rows are evaluated as
+    Python ints once that reaches 2^63.
+    """
+    if p is None and X.dtype != object:
+        if sum(map(abs, form.coeffs.values())) * int(np.abs(X).max(initial=1)) ** 3 >= 2**63:
+            X = X.astype(object)
     return _value(form, X.T, p)
 
 
@@ -271,47 +279,6 @@ def gradient_dot_rows(
         else:
             total = (total + c % p * (v[a] * v[b] % p) % p * w[t]) % p
     return total
-
-
-def _polar(form: CubicForm, x, y) -> list:
-    """(c0,c1,c2,c3) of F(x + t*y); the entries of x, y are ints or columns."""
-    c = [0, 0, 0, 0]
-    for expo, a in form.coeffs.items():
-        # multiply out prod (x_i + t y_i)^{e_i}, total degree 3
-        poly = [a, 0, 0, 0]
-        for xi, yi, e in zip(x, y, expo):
-            for _ in range(e):
-                poly = [
-                    xi * poly[0],
-                    xi * poly[1] + yi * poly[0],
-                    xi * poly[2] + yi * poly[1],
-                    xi * poly[3] + yi * poly[2],
-                ]
-        for k in range(4):
-            c[k] += poly[k]
-    return c
-
-
-def polar_coeffs(
-    form: CubicForm, x: ProjPoint, y: ProjPoint
-) -> tuple[int, int, int, int]:
-    """Coefficients (c0,c1,c2,c3) of F(x + t*y) as a cubic polynomial in t.
-
-    Compositions use c1 = grad F(x)·y, c2 = grad F(y)·x, c3 = F(y) instead;
-    this expansion is the independent check of `tangent_consistency_suite`.
-    """
-    _check_dims(form, x, y)
-    if x.field != y.field:
-        raise DimensionMismatch("points over different fields")
-    c = _polar(form, x.coords, y.coords)
-    if x.field.p is not None:
-        c = [v % x.field.p for v in c]
-    return tuple(c)
-
-
-def polar_rows(form: CubicForm, X: np.ndarray, Y: np.ndarray) -> list[np.ndarray]:
-    """The columns c0, c1, c2, c3 of `polar_coeffs` for each row pair of X, Y over Q."""
-    return _polar(form, X.T, Y.T)
 
 
 def _leads(v: np.ndarray) -> np.ndarray:

@@ -83,11 +83,3 @@ def kernel_basis(matrix: list[list[int]], field: Field) -> list[tuple[int, ...]]
 def rank(matrix: list[list[int]], field: Field) -> int:
     return len(_eliminate(matrix, field.p)[1])
 
-
-def det3(a, b, c) -> int:
-    """Determinant of the 3x3 matrix with rows a, b, c (integer entries)."""
-    return (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
-    )

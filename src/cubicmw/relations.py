@@ -18,14 +18,14 @@ form, once per draw, to compare with z.  A composition's row scales with
 its inputs and is zero exactly where the composition is undefined, and a
 zero row composes to zero, so a draw's last row is nonzero, and a
 multiple of z, exactly where the chain of canonical points is defined
-and ends at z.  The tangent suite expands F(x + t·y) on the int64
-rows too while no coefficient of the expansion can reach 2^63, and on
-Python ints otherwise.  A batch never holds more draws than trials are
-missing, and its outcomes are counted in draw order, so every count, and
-the draw at which the skip budget runs out, is the same as when each draw
-is checked on its own.  The group law runs through the same loop over
-F_p: its points are int64 rows of residues mod p, composed row by row
-with the same `compose_rows`, given p, into canonical rows.
+and ends at z.  The tangent suite evaluates F at the rows y + x and
+y − x, which `eval_rows` keeps int64 while no value can reach 2^63.  A
+batch never holds more draws than trials are missing, and its outcomes
+are counted in draw order, so every count, and the draw at which the
+skip budget runs out, is the same as when each draw is checked on its
+own.  The group law runs through the same loop over F_p: its points are
+int64 rows of residues mod p, composed row by row with the same
+`compose_rows`, given p, into canonical rows.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from .geometry import (
     ProjPoint,
     canonical_rows,
     dot_rows,
+    eval_rows,
     gradient_rows,
-    polar_rows,
 )
 from .planecubic import PlaneCubic, _tangent_value, curve_rows
 # bench/workload.py counts calls of relations.secant_compose; the batched
@@ -53,7 +53,6 @@ from .planecubic import PlaneCubic, _tangent_value, curve_rows
 from .surface import (  # noqa: F401
     compose_rows,
     point_rows,
-    polar_point_rows,
     secant_compose,
     third_rows,
 )
@@ -240,21 +239,23 @@ def sextuple_suite(registry: PointRegistry, trials: int, seed: int = 0) -> Suite
 def tangent_consistency_suite(
     registry: PointRegistry, trials: int, seed: int = 0
 ) -> SuiteResult:
-    """x on the tangent section at y iff the polar coefficient c1 of (y, x) vanishes.
+    """F(y + x) − F(y − x) = 2·grad F(y)·x for distinct points x, y of the surface.
 
-    The section is grad F(y)·x = 0, as in `on_tangent_section`; the polar
-    expansion does not use the gradient.  It runs on the int64 rows of
-    `point_rows` where `polar_point_rows` keeps them, and on Python ints
-    otherwise.
+    On the line through y and x, F(y + t·x) = t·(grad F(y)·x) + t²·(grad F(x)·y)
+    since F(x) = F(y) = 0, and its values at t = ±1 differ by twice the
+    first coefficient.  So the left side is zero exactly where x lies on
+    the tangent section at y, as in `on_tangent_section`, and it uses only
+    F's values, not the gradient code of the right side.  The values are
+    compared exactly.
     """
     form = registry.surface.form
     P, G, draw = _registry_draws(registry, 2, seed)
-    Q = polar_point_rows(form, P)
 
     def check(draws):
         x, y = draws.T
-        on_section = dot_rows(G[y], P[x]) == 0
-        return (on_section == (polar_rows(form, Q[y], Q[x])[1] == 0)).tolist()
+        X, Y = P[x], P[y]
+        diff = eval_rows(form, Y + X) - eval_rows(form, Y - X)
+        return (diff == 2 * dot_rows(G[y], X)).tolist()
 
     return _run("tangent consistency", trials, draw, check)
 

@@ -41,7 +41,7 @@ from .geometry import (
     meet,
     normalize,
 )
-from .linalg import det3, kernel_basis, rank
+from .linalg import kernel_basis, rank
 from .planecubic import PlaneCubic, cubic_compose
 
 
@@ -67,10 +67,9 @@ def _monomial_value(coords, expo) -> int:
     return v
 
 
-def _collinear(a: ProjPoint, b: ProjPoint, c: ProjPoint, p: int | None) -> bool:
-    """Whether three points of P^2 lie on one line: their determinant vanishes."""
-    d = det3(a.coords, b.coords, c.coords)
-    return d == 0 if p is None else d % p == 0
+def _collinear(a: ProjPoint, b: ProjPoint, c: ProjPoint, field: Field) -> bool:
+    """Whether three points of P^2 lie on one line: their coordinates have rank < 3."""
+    return rank([a.coords, b.coords, c.coords], field) < 3
 
 
 def check_general_position(pts: list[ProjPoint]) -> tuple[bool, list[str]]:
@@ -83,7 +82,7 @@ def check_general_position(pts: list[ProjPoint]) -> tuple[bool, list[str]]:
         if pts[i] == pts[j]:
             report.append(f"points {i} and {j} coincide: {pts[i]}")
     for i, j, k in itertools.combinations(range(6), 3):
-        if _collinear(pts[i], pts[j], pts[k], field.p):
+        if _collinear(pts[i], pts[j], pts[k], field):
             report.append(f"points {i},{j},{k} are collinear")
     m = [[_monomial_value(x.coords, e) for e in _monomials(3, 2)] for x in pts]
     if rank(m, field) < 6:
@@ -380,7 +379,7 @@ def plane_closure(
     if any(s.field != field for s in seeds):
         raise DimensionMismatch(f"plane closure over {field} needs seeds over {field}")
     for i, j, k in itertools.combinations(range(4), 3):
-        if _collinear(seeds[i], seeds[j], seeds[k], field.p):
+        if _collinear(seeds[i], seeds[j], seeds[k], field):
             raise DegenerateSeeds(f"seeds {i},{j},{k} are collinear")
     if max_generations is not None and max_generations < 0:
         raise InvalidBound(f"max_generations must be >= 0, got {max_generations}")

@@ -35,7 +35,7 @@ from .geometry import (
 )
 
 # point_rows gives int64 rows while every composition of two of them stays
-# below this, and polar_point_rows while every polar expansion of two does
+# below this
 _INT64_BOUND = 2**63
 
 
@@ -115,17 +115,6 @@ def point_rows(form: CubicForm, points) -> tuple[np.ndarray, np.ndarray]:
     if 32 * np.abs(G).max() * np.abs(P).max() ** 2 < _INT64_BOUND:
         return P.astype(np.int64), G.astype(np.int64)
     return P, G
-
-
-def polar_point_rows(form: CubicForm, P: np.ndarray) -> np.ndarray:
-    """P, rows of `point_rows`, in a dtype in which `polar_rows` of two never wraps.
-
-    Every coefficient of F(x + t·y), and every partial product of its
-    expansion, is at most 8·Σ|a|·max|x|³ in absolute value: P is kept while
-    that stays below 2^63, and turned into Python ints otherwise.
-    """
-    bound = 8 * sum(map(abs, form.coeffs.values())) * int(np.abs(P).max()) ** 3
-    return P if bound < _INT64_BOUND else P.astype(object)
 
 
 def third_rows(

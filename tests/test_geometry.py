@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import polar_expansion
 from hypothesis import assume, given, settings, strategies as st
 
 from cubicmw import (
@@ -14,7 +15,6 @@ from cubicmw import (
     line_through,
     meet,
     normalize,
-    polar_coeffs,
 )
 from cubicmw.errors import (
     CoincidentLines,
@@ -138,39 +138,6 @@ def test_gradient_euler_identity():
         x = normalize(raw)
         g = gradient(ZAGIER, x)
         assert sum(a * b for a, b in zip(g, x.coords)) == 3 * eval_form(ZAGIER, x)
-
-
-def test_polar_coeffs_example():
-    x = normalize((1, 0, 1, -1))
-    y = normalize((1, 1, -1, 0))
-    assert polar_coeffs(ZAGIER, x, y) == (0, -6, 12, 0)
-
-
-def test_polar_coeffs_equal_points():
-    x = normalize((1, 1, 1, 1))
-    f = eval_form(ZAGIER, x)
-    assert polar_coeffs(ZAGIER, x, x) == (f, 3 * f, 3 * f, f)
-
-
-def test_polar_coeffs_swap_symmetry():
-    rng = random.Random(4)
-    for _ in range(50):
-        x = normalize((rng.randint(1, 9),) + tuple(rng.randint(-9, 9) for _ in range(3)))
-        y = normalize(tuple(rng.randint(1, 9) for _ in range(4)))
-        c = polar_coeffs(ZAGIER, x, y)
-        assert polar_coeffs(ZAGIER, y, x) == tuple(reversed(c))
-
-
-def test_polar_coeffs_reproduce_eval():
-    rng = random.Random(5)
-    x = normalize((2, 3, -1, 5))
-    y = normalize((1, -4, 2, 7))
-    c0, c1, c2, c3 = polar_coeffs(ZAGIER, x, y)
-    for _ in range(20):
-        t = rng.randint(-100, 100)
-        raw = tuple(a + t * b for a, b in zip(x.coords, y.coords))
-        direct = sum(a * c**3 for a, c in zip((1, 2, 3, 4), raw))
-        assert direct == c0 + c1 * t + c2 * t**2 + c3 * t**3
 
 
 def test_line_through_and_meet():
@@ -337,4 +304,42 @@ def test_gradient_identity_matches_polar_expansion(case):
     p = x.field.p
     c1 = dot(gradient(form, x), y.coords, p)
     c2 = dot(gradient(form, y), x.coords, p)
-    assert (c1, c2, eval_form(form, y)) == polar_coeffs(form, x, y)[1:]
+    assert (c1, c2, eval_form(form, y)) == polar_expansion(form, x, y)[1:]
+
+
+@pytest.mark.parametrize(
+    "coeffs, top, dtype",
+    [
+        ((2**62, -(2**62 - 1), 0), 1, np.int64),  # Σ|c|·max|x|³ = 2^63 − 1
+        ((2**62, -(2**62), 0), 1, object),  # = 2^63, and F(1, −1, 0) = 2^63
+        ((1, 0, 0), 2**21 - 1, np.int64),
+        ((1, 0, 0), 2**21, object),  # F(2^21, 0, 0) = 2^63
+        ((2**63, 1, 0), 0, object),  # zero rows: a coefficient past int64
+    ],
+)
+def test_eval_rows_guard_edge(coeffs, top, dtype):
+    form = CubicForm.diagonal(coeffs)
+    rows = list(itertools.product((-top, 0, top), repeat=3))
+    values = eval_rows(form, np.array(rows, dtype=np.int64))
+    assert values.dtype == dtype
+    assert values.tolist() == [eval_form(form, ProjPoint(r)) for r in rows]
+
+
+@pytest.mark.parametrize("form", [ZAGIER, CubicForm.diagonal((2**63, 1, 1, 1))])
+def test_eval_rows_on_no_rows(form):
+    assert eval_rows(form, np.empty((0, 4), dtype=np.int64)).tolist() == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((3, 4)), st.data())
+def test_eval_rows_matches_eval_form_on_wide_values(dim, data):
+    # dense forms with coefficients up to 2^62 and int64 rows up to 2^21, on
+    # both sides of the guard: the rows' values are the points' exact values
+    mons = _monomials(dim)
+    coeff = st.one_of(st.integers(-9, 9), st.integers(-(2**62), 2**62))
+    values = data.draw(st.lists(coeff, min_size=len(mons), max_size=len(mons)).filter(any))
+    form = CubicForm(dim, dict(zip(mons, values)))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-(2**21), 2**21))
+    rows = data.draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), max_size=8))
+    X = np.array(rows, dtype=np.int64).reshape(-1, dim)
+    assert eval_rows(form, X).tolist() == [eval_form(form, ProjPoint(tuple(r))) for r in rows]

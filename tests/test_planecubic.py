@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import polar_expansion
 
 from cubicmw import (
     CubicForm,
@@ -12,7 +13,6 @@ from cubicmw import (
     gradient,
     group_add,
     normalize,
-    polar_coeffs,
 )
 from cubicmw.errors import CubicError, EqualPoints, LineOnCurve, SingularPoint
 from cubicmw import planecubic
@@ -150,7 +150,7 @@ def polar_tangent_value(curve, x):
             y = normalize(v, curve.field)
             if y != x:
                 break
-    c0, c1, c2, c3 = polar_coeffs(curve.form, x, y)
+    c0, c1, c2, c3 = polar_expansion(curve.form, x, y)
     assert c0 == 0 and c1 == 0
     if c2 == 0 and c3 == 0:
         raise LineOnCurve(f"tangent line at {x}")

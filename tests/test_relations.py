@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -20,15 +21,13 @@ from cubicmw import (
     gradient,
     group_add,
     normalize,
-    on_tangent_section,
-    polar_coeffs,
     relations,
     secant_compose,
     surface,
     surface_point,
 )
 from cubicmw.errors import CubicError, DegenerateSample
-from cubicmw.geometry import gradient_rows, polar_rows
+from cubicmw.geometry import dot, eval_rows, gradient_rows
 from cubicmw.planecubic import PlaneCubic, curve_rows
 from cubicmw.relations import (
     group_law_suite,
@@ -197,63 +196,92 @@ def test_third_rows_int64_edge(rows, signs):
 
 
 def per_draw_tangent_consistency(registry, trials, seed):
-    """The tangent consistency suite one draw at a time through `polar_coeffs`."""
-    surf, pts = registry.surface, registry.points
+    """The tangent consistency suite one draw at a time on Python ints.
+
+    F is evaluated at the coordinate sums y ± x as they are: normalizing
+    them would change F's value by a cube.
+    """
+    form, pts = registry.surface.form, registry.points
     rng = random.Random(seed)
+
+    def value(v):
+        return sum(c * math.prod(a**e for a, e in zip(v, expo)) for expo, c in form.coeffs.items())
+
     passes = 0
     for _ in range(trials):
         x, y = (pts[i] for i in rng.sample(range(len(pts)), 2))
-        passes += on_tangent_section(surf, x, y) == (polar_coeffs(surf.form, y, x)[1] == 0)
+        plus = [b + a for a, b in zip(x.coords, y.coords)]
+        minus = [b - a for a, b in zip(x.coords, y.coords)]
+        passes += value(plus) - value(minus) == 2 * dot(gradient(form, y), x.coords)
     return [("tangent consistency", passes, trials - passes, 0)]
 
 
-def polar_dtypes(monkeypatch):
-    """The dtypes of the rows the tangent suite expands, one per batch."""
+def value_dtypes(monkeypatch):
+    """The dtypes of the values of F the tangent suite computes, two per batch."""
     seen = []
 
-    def spy(form, X, Y):
-        seen.append((X.dtype, Y.dtype))
-        return polar_rows(form, X, Y)
+    def spy(form, X, p=None):
+        values = eval_rows(form, X, p)
+        seen.append(values.dtype)
+        return values
 
-    monkeypatch.setattr(relations, "polar_rows", spy)
+    monkeypatch.setattr(relations, "eval_rows", spy)
     return seen
 
 
 def test_tangent_suite_expands_int64_rows_at_h1100(monkeypatch, registry_1100):
-    # max|x| = 1100 at H=1100: 8·Σ|a|·1100³ is about 2^37
-    seen = polar_dtypes(monkeypatch)
+    # max|y ± x| <= 2200 at H=1100: Σ|a|·2200³ is about 2^37
+    seen = value_dtypes(monkeypatch)
     result = counts([tangent_consistency_suite(registry_1100, 2000, 5)])
-    assert set(seen) == {(np.dtype(np.int64), np.dtype(np.int64))}
+    assert set(seen) == {np.dtype(np.int64)}
     assert result == per_draw_tangent_consistency(registry_1100, 2000, 5)
 
 
 def test_tangent_suite_falls_back_on_composed_points(monkeypatch, registry_1100):
     # the compositions x o y of H=1100 points have coordinates of about 36
-    # bits, so 8·Σ|a|·max|x|³ passes 2^63 and the expansion runs on Python ints
+    # bits, so Σ|a|·max|y ± x|³ passes 2^63 and F's values are Python ints
     surf = registry_1100.surface
     pts = registry_1100.points[-40:]
     composed = {secant_compose(surf, x, y) for x, y in zip(pts, pts[1:])}
     assert 2**35 < max(abs(c) for z in composed for c in z.coords) < 2**40
     reg = PointRegistry(surf, 0, sorted(composed, key=lambda z: z.coords))
-    seen = polar_dtypes(monkeypatch)
+    seen = value_dtypes(monkeypatch)
     result = counts([tangent_consistency_suite(reg, 500, 3)])
-    assert set(seen) == {(np.dtype(object), np.dtype(object))}
+    assert set(seen) == {np.dtype(object)}
     assert result == per_draw_tangent_consistency(reg, 500, 3)
 
 
 @pytest.mark.parametrize("a4, dtype", [(2**60 - 4, np.int64), (2**60 - 3, object)])
 def test_tangent_guard_edge(monkeypatch, a4, dtype):
     # points with x4 = 0 keep the gradient, and so `point_rows`, small, while
-    # the guard 8·Σ|a|·max|x|³ = 8·(3 + a4) reaches 2^63 at a4 = 2^60 − 3
+    # max|y ± x| = 2 and the guard of `eval_rows`, Σ|a|·2³ = 8·(3 + a4),
+    # reaches 2^63 at a4 = 2^60 − 3
     surf = CubicSurface.diagonal((1, 1, 1, -a4))
     pts = [normalize(v) for v in [(1, -1, 0, 0), (1, 0, -1, 0), (0, 1, -1, 0)]]
     reg = PointRegistry(surf, 2, [surface_point(surf, x) for x in pts])
     P, G = point_rows(surf.form, reg.points)
     assert P.dtype == G.dtype == np.int64
-    seen = polar_dtypes(monkeypatch)
+    seen = value_dtypes(monkeypatch)
     result = counts([tangent_consistency_suite(reg, 50, 1)])
-    assert set(seen) == {(np.dtype(dtype), np.dtype(dtype))}
+    assert set(seen) == {np.dtype(dtype)}
     assert result == per_draw_tangent_consistency(reg, 50, 1)
+
+
+def test_tangent_suite_fails_on_wrong_gradients(monkeypatch, registry_200):
+    # with the gradients' first column doubled, 2·grad F(y)·x grows by
+    # 6·y1²·x1, which no point of height <= 200 makes zero, so every draw
+    # fails; comparing only whether the two sides are zero would pass
+    # every draw where both are nonzero
+    def doubled(form, points):
+        P, G = point_rows(form, points)
+        G = G.copy()
+        G[:, 0] *= 2
+        return P, G
+
+    assert all(x.coords[0] for x in registry_200.points)
+    monkeypatch.setattr(relations, "point_rows", doubled)
+    result = tangent_consistency_suite(registry_200, 500, 0)
+    assert result.failures > 0 and result.passes == 0
 
 
 def populations(k):

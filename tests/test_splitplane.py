@@ -10,6 +10,7 @@ import tracemalloc
 import pytest
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
+from sympy import Matrix
 
 from cubicmw import (
     Field,
@@ -38,7 +39,7 @@ from cubicmw.errors import (
 )
 from cubicmw import splitplane
 from cubicmw.geometry import line_through, meet
-from cubicmw.linalg import det3, kernel_basis
+from cubicmw.linalg import kernel_basis
 from cubicmw.splitplane import DEFAULT_BASE, BlowupModel, pullback_cubic
 
 F101 = Field(101)
@@ -55,16 +56,6 @@ def model_101():
     return BlowupModel.build(field=F101)
 
 
-def det4(rows) -> int:
-    """Determinant of a 4x4 integer matrix by cofactor expansion."""
-    a, b, c, d = rows
-    total = 0
-    for j in range(4):
-        sub = [[row[k] for k in range(4) if k != j] for row in (b, c, d)]
-        total += (-1) ** j * a[j] * det3(*sub)
-    return total
-
-
 def test_default_base_is_general_position():
     pts = [normalize(v) for v in DEFAULT_BASE]
     ok, report = check_general_position(pts)
@@ -77,6 +68,16 @@ def test_collinear_triple_detected():
     ok, report = check_general_position(pts)
     assert not ok
     assert any("collinear" in line for line in report)
+
+
+def test_collinear_mod_p_detected():
+    # the first three have determinant −7: collinear over F_7, not over Q
+    f7 = Field(7)
+    pts = [normalize(v, f7) for v in
+           [(1, 1, 1), (1, 2, 4), (1, 3, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]]
+    ok, report = check_general_position(pts)
+    assert not ok
+    assert "points 0,1,2 are collinear" in report
 
 
 def test_conic_sextet_detected():
@@ -280,7 +281,7 @@ def test_twisted_cubic_non_coplanar(model_q):
     samples, skipped = twisted_cubic_samples(model_q, a, b, 6)
     assert len(samples) == 6
     for quad in itertools.combinations(samples, 4):
-        assert det4([list(x.coords) for x in quad]) != 0
+        assert Matrix([list(x.coords) for x in quad]).det() != 0
 
 
 def test_twisted_cubic_skips_base_points(model_q):
