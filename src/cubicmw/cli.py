@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import sys
@@ -32,6 +33,20 @@ from .surface import CubicSurface, height, secant_compose, surface_point
 import random
 
 
+def _argument_type(parse):
+    """parse, its ValueError re-raised as ArgumentTypeError, whose text argparse prints in full."""
+
+    @functools.wraps(parse)
+    def typed(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return typed
+
+
+@_argument_type
 def _coeffs(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split(","))
 
@@ -40,6 +55,7 @@ def _base(text: str) -> list[tuple[int, ...]] | None:
     return None if text == "default" else [_coeffs(part) for part in text.split(";")]
 
 
+@_argument_type
 def _field(text: str) -> Field:
     if text == "q":
         return RATIONALS
@@ -48,6 +64,7 @@ def _field(text: str) -> Field:
     raise argparse.ArgumentTypeError(f"field must be 'q' or 'fp:<prime>', got {text!r}")
 
 
+@_argument_type
 def _positive_int(text: str) -> int:
     n = int(text)
     if n < 1:
@@ -64,7 +81,7 @@ def _threads(args) -> int:
         return os.cpu_count() or 1
     try:
         return _positive_int(env)
-    except (ValueError, argparse.ArgumentTypeError):
+    except argparse.ArgumentTypeError:
         raise ParseError(f"CUBIC_MW_THREADS must be a positive integer, got {env!r}") from None
 
 
@@ -140,8 +157,8 @@ def _json_text(obj, nl: str) -> str:
 
 
 def _int_rows(obj) -> tuple[int, ...]:
-    """obj's entries row by row if obj holds non-empty int lists of one length, else ()."""
-    if {*map(type, obj)} != {list} or len({*map(len, obj)}) != 1:
+    """obj's entries row by row if obj holds non-empty int lists or tuples of one length, else ()."""
+    if {*map(type, obj)} not in ({list}, {tuple}) or len({*map(len, obj)}) != 1:
         return ()
     flat = tuple(chain.from_iterable(obj))
     return flat if {*map(type, flat)} == {int} else ()

@@ -12,7 +12,8 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -28,25 +29,36 @@ OP = "∘"  # the composition symbol used in rendered schemes
 class CompositionTable:
     """Outcomes of all unordered compositions restricted to the registry.
 
-    `in_vh[(i, j)] = k` (i < j) when point_i o point_j is registry point k;
-    `undefined` holds pairs whose secant line lies on the surface; every
-    other pair composes to a point outside the registry.  `tangent[i]` is
-    the sorted tuple of ranks lying on the tangent section at point i.
+    The pair outcomes are int64 arrays of 1-based ranks in row-major (i, j)
+    order, i < j: `in_vh` has a row (i, j, k) when point_i o point_j is
+    registry point k, and `undefined` a row (i, j) when the secant line of
+    the pair lies on the surface; every other pair composes to a point
+    outside the registry.  `tangent[i]` is the sorted tuple of ranks lying
+    on the tangent section at point i, for every rank i.  The entries of
+    each kind number `len(in_vh)`, `len(undefined)` and
+    `sum(len(r) for r in tangent.values())`.
     """
 
     registry: PointRegistry
-    in_vh: dict[tuple[int, int], int] = field(default_factory=dict)
-    undefined: set[tuple[int, int]] = field(default_factory=set)
-    tangent: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    in_vh: np.ndarray
+    undefined: np.ndarray
+    tangent: dict[int, tuple[int, ...]]
 
     @functools.cached_property
-    def pairs_of(self) -> dict[int, list[tuple[tuple[int, int], int]]]:
-        """Rank -> the in_vh items ((i, j), k) with i or j equal to that rank."""
-        index: dict[int, list[tuple[tuple[int, int], int]]] = {}
-        for item in self.in_vh.items():
-            for r in item[0]:
-                index.setdefault(r, []).append(item)
-        return index
+    def pairs_of(self) -> list[list[tuple[int, int, int]]]:
+        """pairs_of[r]: the `in_vh` rows (i, j, k) with i or j equal to rank r, in table order."""
+        i, j, _ = self.in_vh.T
+        rows = np.fromiter(zip(*self.in_vh.T.tolist()), object, len(i))
+        # per rank the rows (i, r) come before the rows (r, j), as in row-major order
+        side = np.concatenate([j, i])
+        order = np.argsort(side, kind="stable") % len(i)
+        return _groups(rows[order].tolist(), side, len(self.registry))
+
+
+def _groups(items, ranks: np.ndarray, n: int) -> list:
+    """The run of items of each rank 0..n: items are in rank order, and ranks holds their ranks."""
+    ends = np.cumsum(np.bincount(ranks, minlength=n + 1)).tolist()
+    return [items[s:e] for s, e in zip([0] + ends, ends)]
 
 
 # Pairs (i, j), j > i, per row block of `build_table`.  On 2 vCPUs blocks of
@@ -77,6 +89,17 @@ def _bucket(v0, v1) -> np.ndarray:
     return q
 
 
+def _row_keys(rows: np.ndarray, cap: int) -> np.ndarray:
+    """One key per row with entries in [-cap, cap]: its entries + cap as digits in base 2·cap + 1.
+
+    Distinct rows have distinct keys.  On int64 rows the keys are int64
+    while the largest, base^4 − 1, is below 2^63, and Python ints otherwise.
+    """
+    base = 2 * cap + 1
+    weights = np.array([base**3, base**2, base, 1], dtype=np.int64 if base**4 <= 2**63 else object)
+    return (rows + cap) @ weights
+
+
 def build_table(registry: PointRegistry) -> CompositionTable:
     """Evaluate all unordered pairs and all tangent-section rows.
 
@@ -92,40 +115,41 @@ def build_table(registry: PointRegistry) -> CompositionTable:
     the rest only when `_bucket(r0, r1)` is a registry point's bucket.  A hit
     λ·x_k has x_k's rational as its quotient, and below 2^53 both are
     correctly rounded divisions of exact integers, so no hit is lost.  Only
-    candidates no higher than the highest registry point are looked up in
-    the index.  Pairs are taken in row-major order, so `in_vh` is filled in
-    ascending (r, j) order.
+    candidates no higher than the highest registry point are looked up, by
+    an exact key of their coordinates (`_row_keys`) in the sorted keys of
+    the registry's rows.
+
+    Each block yields int64 rows in row-major order: its tangent entries
+    (r, j), its undefined pairs (r, j) and its hits (r, j, k).  Their
+    concatenations are `in_vh` and `undefined`; the tangent entries, which
+    arrive grouped by r, are cut into the tuples of `tangent`.
 
     P and G are the rows of `point_rows`: int64 while no entry can wrap.
     """
     n = len(registry)
     if n == 0:
         raise EmptyRegistry("empty registry")
-    table = CompositionTable(registry)
     P, G = point_rows(registry.surface.form, registry.points)
     cap = max(height(x) for x in registry.points)
-    index = registry.index
+    registry_keys = _row_keys(P, cap)
+    by_key = np.argsort(registry_keys)
+    registry_keys = registry_keys[by_key]
     x0, x1 = P[:, :2].T.copy()
     marked = np.zeros(2**16 + 2, dtype=bool)  # buckets 0..2^16, then -1
     marked[_bucket(x0, x1)] = True
     marked[-1] = True
     cols = np.arange(n)
+    on_section, undefined, found = [], [], []
     for i, e in _row_blocks(n):
         rows = cols[i:e, None]
         c1 = G[i:e] @ P.T
         c2 = P[i:e] @ G.T
         zero = c1 == 0
         zero[rows - i, rows] = False  # x_r is not on its own list
-        ends = np.cumsum(zero.sum(axis=1)).tolist()
-        on_section = (np.nonzero(zero)[1] + 1).tolist()
-        start = 0
-        for r, end in enumerate(ends, i + 1):
-            table.tangent[r] = tuple(on_section[start:end])
-            start = end
+        on_section.append(np.argwhere(zero) + (i, 0))
         upper = cols > rows
         on_surface = zero & (c2 == 0)
-        r, j = np.nonzero(on_surface & upper)
-        table.undefined.update(zip((r + i + 1).tolist(), (j + 1).tolist()))
+        undefined.append(np.argwhere(on_surface & upper) + (i, 0))
         r, j = np.nonzero(upper & ~on_surface)
         a, b = c1[r, j], c2[r, j]
         r += i
@@ -133,25 +157,40 @@ def build_table(registry: PointRegistry) -> CompositionTable:
         a, b, r, j = a[near], b[near], r[near], j[near]
         z, _ = canonical_rows(b[:, None] * P[r] - a[:, None] * P[j])
         low = np.abs(z).sum(axis=1) <= cap
-        r, j = r[low], j[low]
-        for key, pair in zip(z[low].tolist(), zip((r + 1).tolist(), (j + 1).tolist())):
-            k = index.get(tuple(key))
-            if k is not None:
-                table.in_vh[pair] = k
-    return table
+        found.append((r[low], j[low], _row_keys(z[low], cap)))
+    r, j, keys = map(np.concatenate, zip(*found))
+    at = np.minimum(np.searchsorted(registry_keys, keys), n - 1)
+    hit = registry_keys[at] == keys
+    in_vh = np.stack([r[hit], j[hit], by_key[at[hit]]], axis=1) + 1
+    r, j = (np.concatenate(on_section) + 1).T
+    tangent = _groups(tuple(j.tolist()), r, n)
+    return CompositionTable(
+        registry, in_vh, np.concatenate(undefined) + 1, dict(enumerate(tangent[1:], 1))
+    )
 
 
 def strong_decompositions(table: CompositionTable) -> dict[int, list[tuple[int, int]]]:
-    """All relations x = y o z with y, z earlier than x (y = z allowed)."""
-    strong: dict[int, list[tuple[int, int]]] = {}
-    for (i, j), k in table.in_vh.items():
-        if i < k and j < k:
-            strong.setdefault(k, []).append((i, j))
-    for i, row in table.tangent.items():
-        for j in row:
-            if i < j:
-                strong.setdefault(j, []).append((i, i))
-    return {k: sorted(v) for k, v in sorted(strong.items())}
+    """All relations x = y o z with y, z earlier than x (y = z allowed), pairs sorted.
+
+    Read off the arrays: the `in_vh` rows (y, z, x) with z < x and the
+    tangent entries x of row y with y < x, as (y, y, x).  Each relation is
+    one int64 key (x·m + y)·m + z, m = n + 1 (below 2^63 while n < 2·10^6,
+    far past any table that can be built), and one sort of the keys orders
+    them by (x, y, z).
+    """
+    m = len(table.registry) + 1
+    y, z, x = table.in_vh[table.in_vh[:, 1] < table.in_vh[:, 2]].T
+    tangent = table.tangent
+    count = np.fromiter(map(len, tangent.values()), np.int64, len(tangent))
+    ty = np.repeat(np.fromiter(tangent, np.int64, len(tangent)), count)
+    tx = np.fromiter(chain.from_iterable(tangent.values()), np.int64, ty.size)
+    later = ty < tx
+    keys = np.concatenate([(x * m + y) * m + z, tx[later] * m * m + ty[later] * (m + 1)])
+    keys.sort()
+    xy, z = np.divmod(keys, m)
+    x, y = np.divmod(xy, m)
+    groups = _groups(list(zip(y.tolist(), z.tolist())), x, m - 1)
+    return {k: pairs for k, pairs in enumerate(groups) if pairs}
 
 
 @dataclass(frozen=True)
@@ -217,18 +256,18 @@ class _MinMaxPass:
                 continue  # superseded by a lower entry
             # an offer from r is at least v + step: ranks below that cannot gain
             low = v + step
-            for pair, k in pairs_of.get(r, ()):
+            for i, j, k in pairs_of[r]:
                 if value[k] < low:
                     continue
-                a, b = value[pair[0]], value[pair[1]]
+                a, b = value[i], value[j]
                 o = (a if a > b else b) + step
                 if o < weight[k]:
                     o = weight[k]
                 if o < value[k]:
-                    value[k], parent[k] = o, pair
+                    value[k], parent[k] = o, (i, j)
                     push(heap, (o, k))
-                elif o == value[k] != inf and pair < parent[k]:  # inf: an input is unreached
-                    parent[k] = pair
+                elif o == value[k] != inf and (i, j) < parent[k]:  # inf: an input is unreached
+                    parent[k] = (i, j)
             # the tangent rows: the same offers, from the pair (r, r)
             pair = (r, r)
             for k in tangent[r]:
@@ -334,7 +373,7 @@ class DecompositionReport:
             "weak_only_count": len(self.weak_witnesses),
             "generator_count": len(self.generator_ranks),
             "generators": [list(reg.point(r).coords) for r in self.generator_ranks],
-            "strong": {str(k): [list(p) for p in v] for k, v in self.strong.items()},
+            "strong": {str(k): v for k, v in self.strong.items()},
             "weak_witnesses": {
                 str(k): render_scheme(s) for k, s in sorted(self.weak_witnesses.items())
             },

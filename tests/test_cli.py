@@ -105,6 +105,26 @@ def test_flag_where_it_is_not_read_is_usage_error(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["split-demo", "--field", "fp:4"], "argument --field: not a prime below 2^31: 4"),
+        (["plane-closure", "--field", "fp:x"],
+         "argument --field: invalid literal for int() with base 10: 'x'"),
+        (["compose", "--coeffs", "1,2,b,4", "--x", "1,0,1,-1", "--y", "1,1,-1,0"],
+         "argument --coeffs: invalid literal for int() with base 10: 'b'"),
+        (["verify-relations", "--trials", "abc"],
+         "argument --trials: invalid literal for int() with base 10: 'abc'"),
+    ],
+    ids=["field-not-prime", "field-not-a-number", "coeffs-not-a-number", "trials-not-a-number"],
+)
+def test_bad_value_is_usage_error_with_its_reason(capsys, argv, reason):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.rstrip().endswith(reason)
+
+
 def test_verify_relations_passes_threads(monkeypatch, capsys):
     seen = []
 
@@ -173,7 +193,7 @@ def test_decompose_profile(tmp_path, capsys):
     report = build_report(build_table(registry))
     plain = json.loads((tmp_path / "plain.json").read_text())
     del plain["config"]
-    assert plain == report.to_json_dict()
+    assert plain == json.loads(json.dumps(report.to_json_dict()))
     profile = json.loads((tmp_path / "a.json").read_text())
     assert profile["points"] == len(registry)
     caps = profile["caps"]
@@ -213,8 +233,10 @@ def test_enumerate_into_missing_directory_fails_before_any_work(tmp_path, capsys
 
 _json_ints = st.integers(-(2**70), 2**70)
 _json_str = st.text(st.characters() | st.sampled_from('∘"\\/\x00\x1f\n\t\x7f'), max_size=8)
+# rows of one width, as lists or as tuples (the report's strong pairs are tuples)
 _json_rows = st.integers(1, 4).flatmap(
-    lambda width: st.lists(st.lists(_json_ints, min_size=width, max_size=width), max_size=4))
+    lambda width: st.lists(st.lists(_json_ints, min_size=width, max_size=width)
+                           | st.tuples(*[_json_ints] * width), max_size=4))
 _json_values = st.recursive(
     st.none() | st.booleans() | _json_ints | _json_str | _json_rows
     | st.lists(st.lists(_json_ints, max_size=3), max_size=4),

@@ -48,21 +48,25 @@ def table_300(registry_300):
 
 
 def table_by_pairs(registry):
-    """Reference table: one secant composition and one tangent test per pair."""
+    """Reference table: one secant composition and one tangent test per pair.
+
+    The in-registry rows (i, j, k) and the undefined pairs (i, j) come in
+    row-major order, and tangent maps each rank to its tuple.
+    """
     surface = registry.surface
     pts = registry.points
     n = len(pts)
-    in_vh, undefined, tangent = {}, set(), {}
+    in_vh, undefined, tangent = [], [], {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             try:
                 z = secant_compose(surface, pts[i - 1], pts[j - 1])
             except LineOnSurface:
-                undefined.add((i, j))
+                undefined.append((i, j))
                 continue
             k = registry.index.get(z.coords)
             if k is not None:
-                in_vh[(i, j)] = k
+                in_vh.append((i, j, k))
     for i in range(1, n + 1):
         tangent[i] = tuple(
             j
@@ -113,10 +117,11 @@ def big_table(big_registry):
 
 def outcome(table, i, j):
     """("in", k), ("undefined", None) or ("outside", None) for the pair {i, j}."""
-    key = (i, j) if i < j else (j, i)
-    if key in table.in_vh:
-        return ("in", table.in_vh[key])
-    if key in table.undefined:
+    key = [min(i, j), max(i, j)]
+    hit = (table.in_vh[:, :2] == key).all(axis=1)
+    if hit.any():
+        return ("in", int(table.in_vh[hit, 2][0]))
+    if (table.undefined == key).all(axis=1).any():
         return ("undefined", None)
     return ("outside", None)
 
@@ -181,13 +186,29 @@ def evaluate_parsed(registry, tree) -> set[tuple[int, ...]]:
 
 
 def table_items(table):
-    """The table's outcomes, with in_vh and tangent in insertion order."""
-    return list(table.in_vh.items()), table.undefined, list(table.tangent.items())
+    """The table's outcomes: its rows as tuples, in table order, and the tangent items."""
+    assert table.in_vh.dtype == table.undefined.dtype == np.int64
+    assert table.in_vh.shape[1:] == (3,) and table.undefined.shape[1:] == (2,)
+    rows = [list(map(tuple, a.tolist())) for a in (table.in_vh, table.undefined)]
+    return *rows, list(table.tangent.items())
 
 
 def oracle_items(registry):
     in_vh, undefined, tangent = table_by_pairs(registry)
-    return list(in_vh.items()), undefined, list(tangent.items())
+    return in_vh, undefined, list(tangent.items())
+
+
+def oracle_strong(in_vh, tangent):
+    """x -> sorted pairs (y, z), y, z < x, of the relations of `table_by_pairs`; (y, y) for a tangent."""
+    strong = {}
+    for i, j, k in in_vh:
+        if j < k:
+            strong.setdefault(k, []).append((i, j))
+    for i, row in tangent.items():
+        for k in row:
+            if i < k:
+                strong.setdefault(k, []).append((i, i))
+    return {k: sorted(v) for k, v in sorted(strong.items())}
 
 
 @pytest.mark.parametrize("coeffs, bound", [((1, 2, 3, 4), 300), ((1, 1, 1, 1), 24)])
@@ -202,8 +223,8 @@ def test_table_matches_pair_oracle_beyond_int64(big_registry, big_table):
     assert xmax**4 > 2**63
     table = big_table
     assert table_items(table) == oracle_items(big_registry)
-    assert table.undefined
-    assert any(height(big_registry.point(k)) > 10**6 for k in table.in_vh.values())
+    assert len(table.undefined)
+    assert any(height(big_registry.point(k)) > 10**6 for k in table.in_vh[:, 2].tolist())
 
 
 @pytest.mark.parametrize("block", [1, 7])
@@ -238,11 +259,13 @@ def test_table_outcome_counts(request, name, in_registry, undefined, tangent_ent
 
 
 def test_table_holds_plain_ints(table_300, big_table):
+    """Ranks are int64 in the arrays, also over object rows, and plain ints in the tangent."""
     for table in (table_300, big_table):
-        values = [v for key, k in table.in_vh.items() for v in (*key, k)]
-        values += [v for pair in table.undefined for v in pair]
-        values += [v for i, row in table.tangent.items() for v in (i, *row)]
+        assert table.in_vh.dtype == table.undefined.dtype == np.int64
+        values = [v for i, row in table.tangent.items() for v in (i, *row)]
         assert all(type(v) is int for v in values)
+    for rows in table_300.pairs_of:
+        assert all(type(v) is int for row in rows for v in row)
 
 
 def test_table_past_float64_precision_matches_pair_oracle(monkeypatch):
@@ -267,8 +290,7 @@ def test_hit_shares_its_targets_bucket(request, name):
     """What the table's reject rests on: c2·x_i − c1·x_j = λ·x_k falls in x_k's bucket."""
     table = request.getfixturevalue(name)
     P, G = point_rows(table.registry.surface.form, table.registry.points)
-    i, j = (np.array(list(table.in_vh)) - 1).T
-    k = np.array(list(table.in_vh.values())) - 1
+    i, j, k = (table.in_vh - 1).T
     c1 = (G[i] * P[j]).sum(axis=1)
     c2 = (G[j] * P[i]).sum(axis=1)
     row = c2[:, None] * P[i] - c1[:, None] * P[j]
@@ -288,19 +310,22 @@ def test_table_matches_pair_oracle_on_random_surfaces(coeffs, bound):
         with pytest.raises(EmptyRegistry):
             build_table(registry)
         return
-    assert table_items(build_table(registry)) == oracle_items(registry)
+    in_vh, undefined, tangent = table_by_pairs(registry)
+    table = build_table(registry)
+    assert table_items(table) == (in_vh, undefined, list(tangent.items()))
+    assert strong_decompositions(table) == oracle_strong(in_vh, tangent)
 
 
 def test_table_symmetry(table_300):
-    for (i, j), k in list(table_300.in_vh.items())[:50]:
+    for i, j, k in table_300.in_vh[:50].tolist():
         assert outcome(table_300, j, i) == ("in", k)
 
 
 def test_table_soundness(table_300, registry_300):
     rng = random.Random(10)
     surface = registry_300.surface
-    entries = sorted(table_300.in_vh.items())
-    for (i, j), k in rng.sample(entries, min(500, len(entries))):
+    entries = table_300.in_vh.tolist()
+    for i, j, k in rng.sample(entries, min(500, len(entries))):
         z = secant_compose(surface, registry_300.point(i), registry_300.point(j))
         assert registry_300.index[z.coords] == k
     rows = [(i, j) for i, row in table_300.tangent.items() for j in row]
@@ -369,11 +394,11 @@ def naive_closure(table, seeds):
     """Reference: every generation rescans all table pairs and tangent rows."""
     reached = set(seeds)
     parents = {}
-    pair_items = sorted(table.in_vh.items())
+    pair_items = table.in_vh.tolist()
     tangent_items = sorted(table.tangent.items())
     while True:
         candidates = {}
-        for (i, j), k in pair_items:
+        for i, j, k in pair_items:
             if k not in reached and i in reached and j in reached:
                 prev = candidates.get(k)
                 if prev is None or (i, j) < prev:
@@ -434,8 +459,9 @@ def depths_from_parents(seeds, parents):
 
 
 def oracle_report(table):
-    """The report from one naive closure over the earlier ranks per non-strong rank."""
-    strong = strong_decompositions(table)
+    """The report from the pair oracle's strong lists and one naive closure per non-strong rank."""
+    in_vh, _, tangent = table_by_pairs(table.registry)
+    strong = oracle_strong(in_vh, tangent)
     weak, gens = {}, []
     for x in range(1, len(table.registry) + 1):
         if x in strong:
@@ -580,9 +606,9 @@ def naive_cap(table, x):
 
     def reaches(cap):
         low = {k for k in range(1, len(reg) + 1) if height(reg.point(k)) <= cap}
-        capped = CompositionTable(reg)
-        capped.in_vh = {p: k for p, k in table.in_vh.items() if k in low}
-        capped.tangent = {r: tuple(k for k in row if k in low) for r, row in table.tangent.items()}
+        in_vh = table.in_vh[np.isin(table.in_vh[:, 2], list(low))]
+        tangent = {r: tuple(k for k in row if k in low) for r, row in table.tangent.items()}
+        capped = CompositionTable(reg, in_vh, table.undefined, tangent)
         return x in naive_closure(capped, set(range(1, x)))[0]
 
     if not reaches(heights[-1]):

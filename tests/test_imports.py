@@ -1,18 +1,24 @@
-"""Every module of the package uses what it imports, and none imports `fractions`.
+"""Every module of the package uses what it imports, and imports only what it may.
 
 No linter runs on the package, so this walks each module's syntax tree:
 a name bound by an import must be read somewhere in the module.  Package
 `__init__.py` files re-export, and a line marked `# noqa: F401` keeps an
 import on purpose.  Exact kernels work on Python ints alone, so no module
-may import `fractions`.
+may import `fractions`.  Beyond the standard library a module may import
+only the dependencies that pyproject.toml declares (numpy alone), so test
+tools such as sympy and scipy stay out of the package and of its import
+time.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cubicmw"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cubicmw"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -70,3 +76,20 @@ def test_imported_modules_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_does_not_import_fractions(path):
     assert "fractions" not in imported_modules(path.read_text())
+
+
+def declared_dependencies() -> set[str]:
+    """The distribution names in the `dependencies` list of pyproject.toml's [project] table."""
+    text = (ROOT / "pyproject.toml").read_text()
+    listed = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S).group(1)
+    return set(re.findall(r'"([A-Za-z0-9_.-]+)', listed))
+
+
+def test_numpy_is_the_only_dependency():
+    assert declared_dependencies() == {"numpy"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_the_standard_library_and_numpy(path):
+    allowed = set(sys.stdlib_module_names) | declared_dependencies()
+    assert imported_modules(path.read_text()) - allowed == set()
