@@ -12,12 +12,13 @@ import errno
 import functools
 import json
 import os
+import random
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .decompose import build_report, build_table, cap_profile
+from .decompose import StrongRelations, build_report, build_table, cap_profile
 from .enumeration import enumerate_points, load_registry, save_registry
 from .errors import CubicError, ParseError
 from .geometry import Field, RATIONALS, normalize
@@ -29,8 +30,6 @@ from .relations import (
 )
 from .splitplane import BlowupModel, plane_closure, verify_claim1
 from .surface import CubicSurface, height, secant_compose, surface_point
-
-import random
 
 
 def _argument_type(parse):
@@ -112,9 +111,10 @@ def json_pieces(obj, nl="\n"):
     """Yield the text of json.dumps(obj, indent=1) in pieces, one per dict item.
 
     `nl` is a newline plus the indent of obj's own line.  Dict keys must be
-    str.  Keys and strings go through json's C escaper, a list of int rows of
-    one length through one %d template; any other scalar (bool, None, float)
-    is left to json.dumps.
+    str.  Keys and strings go through json's C escaper, a list of int lists
+    of one length through one %d template; any other scalar (bool, None,
+    float) is left to json.dumps.  A `StrongRelations` value is written as
+    its dict {str(x): [[y, z], ...]}, one piece per rank (`_strong_pieces`).
     """
     if not isinstance(obj, dict) or not obj:
         yield _json_text(obj, nl)
@@ -124,11 +124,34 @@ def json_pieces(obj, nl="\n"):
     for key, value in obj.items():
         head = sep + encode_basestring_ascii(key) + ": "
         sep = "," + inner
-        if isinstance(value, dict) and value:
+        if isinstance(value, StrongRelations):
+            yield head
+            yield from _strong_pieces(value, inner)
+        elif isinstance(value, dict) and value:
             yield head
             yield from json_pieces(value, inner)
         else:
             yield head + _json_text(value, inner)
+    yield nl + "}"
+
+
+def _strong_pieces(strong: StrongRelations, nl: str):
+    """json_pieces of strong as {str(x): [[y, z], ...]}, from its arrays one rank at a time.
+
+    A rank's key and pairs fill one %d template of its pair count, repeated
+    from one pair's template.  Templates are not kept: on the (1,1,1,1)
+    H=24 report those of its 113 pair counts would hold about 190 KB.
+    """
+    if not strong:
+        yield "{}"
+        return
+    inner, mid, deep = nl + " ", nl + "  ", nl + "   "
+    pair = "[" + deep + "%d," + deep + "%d" + mid + "]"
+    head, more, tail = '"%d": [' + mid, pair + "," + mid, pair + inner + "]"
+    sep = "{" + inner
+    for x, flat in strong.flat_pairs():
+        yield sep + (head + more * (len(flat) // 2 - 1) + tail) % (x, *flat)
+        sep = "," + inner
     yield nl + "}"
 
 
@@ -157,8 +180,8 @@ def _json_text(obj, nl: str) -> str:
 
 
 def _int_rows(obj) -> tuple[int, ...]:
-    """obj's entries row by row if obj holds non-empty int lists or tuples of one length, else ()."""
-    if {*map(type, obj)} not in ({list}, {tuple}) or len({*map(len, obj)}) != 1:
+    """obj's entries row by row if obj holds non-empty int lists of one length, else ()."""
+    if {*map(type, obj)} != {list} or len({*map(len, obj)}) != 1:
         return ()
     flat = tuple(chain.from_iterable(obj))
     return flat if {*map(type, flat)} == {int} else ()
@@ -179,7 +202,7 @@ def cmd_decompose(args) -> int:
     reg = load_registry(args.points, args.coeffs)
     table = build_table(reg)
     report = build_report(table)
-    payload = report.to_json_dict()
+    payload = report.json_fields()
     payload["config"] = {
         "coeffs": list(args.coeffs),
         "points_file": args.points,

@@ -12,8 +12,8 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -29,20 +29,28 @@ OP = "∘"  # the composition symbol used in rendered schemes
 class CompositionTable:
     """Outcomes of all unordered compositions restricted to the registry.
 
-    The pair outcomes are int64 arrays of 1-based ranks in row-major (i, j)
-    order, i < j: `in_vh` has a row (i, j, k) when point_i o point_j is
-    registry point k, and `undefined` a row (i, j) when the secant line of
-    the pair lies on the surface; every other pair composes to a point
-    outside the registry.  `tangent[i]` is the sorted tuple of ranks lying
-    on the tangent section at point i, for every rank i.  The entries of
-    each kind number `len(in_vh)`, `len(undefined)` and
-    `sum(len(r) for r in tangent.values())`.
+    The outcomes are int64 arrays of 1-based ranks in row-major order:
+    `in_vh` has a row (i, j, k), i < j, when point_i o point_j is registry
+    point k, `undefined` a row (i, j), i < j, when the secant line of the
+    pair lies on the surface, and `tangent_rows` a row (r, j) when point j
+    (j != r) lies on the tangent section at point r; every other pair
+    composes to a point outside the registry.  `tangent` is the same
+    relation as a mapping, rank r -> the sorted tuple of its j, built on
+    first use.  The entries of each kind number `len(in_vh)`,
+    `len(undefined)` and `len(tangent_rows)`.
     """
 
     registry: PointRegistry
     in_vh: np.ndarray
     undefined: np.ndarray
-    tangent: dict[int, tuple[int, ...]]
+    tangent_rows: np.ndarray
+
+    @functools.cached_property
+    def tangent(self) -> dict[int, tuple[int, ...]]:
+        """tangent[r]: the ranks j of the rows (r, j) of `tangent_rows`, for every rank r."""
+        r, j = self.tangent_rows.T
+        groups = _groups(tuple(j.tolist()), r, len(self.registry))
+        return dict(enumerate(groups[1:], 1))
 
     @functools.cached_property
     def pairs_of(self) -> list[list[tuple[int, int, int]]]:
@@ -121,8 +129,7 @@ def build_table(registry: PointRegistry) -> CompositionTable:
 
     Each block yields int64 rows in row-major order: its tangent entries
     (r, j), its undefined pairs (r, j) and its hits (r, j, k).  Their
-    concatenations are `in_vh` and `undefined`; the tangent entries, which
-    arrive grouped by r, are cut into the tuples of `tangent`.
+    concatenations are `tangent_rows`, `undefined` and `in_vh`.
 
     P and G are the rows of `point_rows`: int64 while no entry can wrap.
     """
@@ -162,35 +169,65 @@ def build_table(registry: PointRegistry) -> CompositionTable:
     at = np.minimum(np.searchsorted(registry_keys, keys), n - 1)
     hit = registry_keys[at] == keys
     in_vh = np.stack([r[hit], j[hit], by_key[at[hit]]], axis=1) + 1
-    r, j = (np.concatenate(on_section) + 1).T
-    tangent = _groups(tuple(j.tolist()), r, n)
     return CompositionTable(
-        registry, in_vh, np.concatenate(undefined) + 1, dict(enumerate(tangent[1:], 1))
+        registry, in_vh, np.concatenate(undefined) + 1, np.concatenate(on_section) + 1
     )
 
 
-def strong_decompositions(table: CompositionTable) -> dict[int, list[tuple[int, int]]]:
+class StrongRelations(Mapping):
+    """The relations x = y o z with y, z earlier than x, as a mapping x -> sorted [(y, z), ...].
+
+    Held as arrays in (x, y, z) order: `pairs`, one int64 row (y, z) per
+    relation, and per strongly decomposable rank x the slice of its rows.
+    A rank's list of tuples is built when it is read; `flat_pairs` gives
+    the entries of each rank's rows without building them.
+    """
+
+    def __init__(self, keys: np.ndarray, n: int):
+        """keys: the sorted int64 keys (x·m + y)·m + z, m = n + 1, of the relations."""
+        m = n + 1
+        xy, z = np.divmod(keys, m)
+        x, y = np.divmod(xy, m)
+        self.pairs = np.stack([y, z], axis=1)
+        ends = np.flatnonzero(np.diff(x, append=m)) + 1
+        self._rows = dict(zip(x[ends - 1].tolist(), zip([0, *ends[:-1].tolist()], ends.tolist())))
+
+    def __getitem__(self, x: int) -> list[tuple[int, int]]:
+        s, e = self._rows[x]
+        return list(map(tuple, self.pairs[s:e].tolist()))
+
+    def __contains__(self, x) -> bool:
+        return x in self._rows
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def flat_pairs(self):
+        """(x, [y1, z1, y2, z2, ...]) per rank x in order: the entries of its pairs, one list."""
+        flat = self.pairs.ravel()
+        for x, (s, e) in self._rows.items():
+            yield x, flat[2 * s:2 * e].tolist()
+
+
+def strong_decompositions(table: CompositionTable) -> StrongRelations:
     """All relations x = y o z with y, z earlier than x (y = z allowed), pairs sorted.
 
-    Read off the arrays: the `in_vh` rows (y, z, x) with z < x and the
-    tangent entries x of row y with y < x, as (y, y, x).  Each relation is
-    one int64 key (x·m + y)·m + z, m = n + 1 (below 2^63 while n < 2·10^6,
-    far past any table that can be built), and one sort of the keys orders
-    them by (x, y, z).
+    Returned as a `StrongRelations`, which keeps them as int64 rows.  Read
+    off the arrays: the `in_vh` rows (y, z, x) with z < x and the
+    `tangent_rows` (y, x) with y < x, as (y, y, x).  Each relation is one
+    int64 key (x·m + y)·m + z, m = n + 1 (below 2^63 while n < 2·10^6, far
+    past any table that can be built), and one sort of the keys orders them
+    by (x, y, z).
     """
     m = len(table.registry) + 1
     y, z, x = table.in_vh[table.in_vh[:, 1] < table.in_vh[:, 2]].T
-    tangent = table.tangent
-    count = np.fromiter(map(len, tangent.values()), np.int64, len(tangent))
-    ty = np.repeat(np.fromiter(tangent, np.int64, len(tangent)), count)
-    tx = np.fromiter(chain.from_iterable(tangent.values()), np.int64, ty.size)
-    later = ty < tx
-    keys = np.concatenate([(x * m + y) * m + z, tx[later] * m * m + ty[later] * (m + 1)])
+    ty, tx = table.tangent_rows[table.tangent_rows[:, 0] < table.tangent_rows[:, 1]].T
+    keys = np.concatenate([(x * m + y) * m + z, tx * m * m + ty * (m + 1)])
     keys.sort()
-    xy, z = np.divmod(keys, m)
-    x, y = np.divmod(xy, m)
-    groups = _groups(list(zip(y.tolist(), z.tolist())), x, m - 1)
-    return {k: pairs for k, pairs in enumerate(groups) if pairs}
+    return StrongRelations(keys, m - 1)
 
 
 @dataclass(frozen=True)
@@ -360,12 +397,24 @@ def evaluate_scheme(registry: PointRegistry, scheme: Scheme):
 
 @dataclass
 class DecompositionReport:
+    """The split of the registry into strong, weak-only and generator ranks.
+
+    `strong` is the table's `StrongRelations` (or any mapping rank -> sorted
+    pairs), `weak_witnesses` maps each weak-only rank to its scheme, and
+    `generator_ranks` lists the rest in order.
+    """
+
     registry: PointRegistry
-    strong: dict[int, list[tuple[int, int]]]
+    strong: Mapping[int, list[tuple[int, int]]]
     weak_witnesses: dict[int, Scheme]
     generator_ranks: list[int]
 
-    def to_json_dict(self) -> dict:
+    def json_fields(self) -> dict:
+        """The report's JSON object, with `strong` itself as the value of "strong".
+
+        A writer that knows `StrongRelations` streams that block from its
+        arrays (`cli.json_pieces`); `to_json_dict` builds it as a dict.
+        """
         reg = self.registry
         return {
             "points": len(reg),
@@ -373,11 +422,15 @@ class DecompositionReport:
             "weak_only_count": len(self.weak_witnesses),
             "generator_count": len(self.generator_ranks),
             "generators": [list(reg.point(r).coords) for r in self.generator_ranks],
-            "strong": {str(k): v for k, v in self.strong.items()},
+            "strong": self.strong,
             "weak_witnesses": {
                 str(k): render_scheme(s) for k, s in sorted(self.weak_witnesses.items())
             },
         }
+
+    def to_json_dict(self) -> dict:
+        """`json_fields()` with "strong" as the dict {str(x): [(y, z), ...]}."""
+        return {**self.json_fields(), "strong": {str(k): v for k, v in self.strong.items()}}
 
 
 def build_report(table: CompositionTable) -> DecompositionReport:

@@ -51,6 +51,7 @@ cross-check it in tests.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
@@ -65,7 +66,7 @@ from .errors import (
     ParseError,
     UnsortedInput,
 )
-from .geometry import RATIONALS, ProjPoint, canonical_rows, eval_rows, normalize
+from .geometry import RATIONALS, ProjPoint, _leads, canonical_rows, eval_rows, normalize
 from .surface import CubicSurface, height, surface_point
 
 _ORACLE_CAP = 200
@@ -376,42 +377,106 @@ def save_registry(registry: PointRegistry, path, extra_header: list[str] | None 
 
 
 def load_registry(path, surface: CubicSurface | tuple) -> PointRegistry:
-    """Read a point file back, validating equation, normalization and order."""
+    """Read a point file back, validating equation, normalization, heights and order.
+
+    The lines are parsed one at a time, up to the first that cannot be, and
+    the points read are then checked as rows, so the first faulty line
+    raises as a check of one line at a time would.  A point is faulty when
+    it is zero, not normalized, off the surface or higher than the
+    `# height:` header in force at its line (the last one above it); a
+    height header when it is below 1 or below a point above it.
+    """
     surface = _diagonal_surface(surface)
-    bound = None
-    points = []
+    coeffs = [str(c) for c in _diagonal_coeffs(surface)]
+    raws, lines, headers, error = [], [], [], None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("#"):
+            try:
+                if not line.startswith("#"):
+                    raws.append(_coordinates(line, lineno))
+                    lines.append(lineno)
+                    continue
                 body = line[1:].strip()
                 if body.startswith("height:"):
-                    try:
-                        bound = int(body.split(":", 1)[1])
-                    except ValueError:
-                        raise ParseError(f"line {lineno}: cannot parse {line!r}")
-                elif body.startswith("coeffs:"):
-                    if body[7:].split() != [str(c) for c in _diagonal_coeffs(surface)]:
-                        raise ParseError(f"line {lineno}: {line!r} is for another surface")
-                continue
-            try:
-                raw = tuple(int(tok) for tok in line.split())
-            except ValueError:
-                raise ParseError(f"line {lineno}: cannot parse {line!r}")
-            if len(raw) != 4:
-                raise ParseError(f"line {lineno}: expected 4 coordinates")
-            x = normalize(raw, RATIONALS)
-            if x.coords != raw:
-                raise ParseError(f"line {lineno}: point not in normalized form")
-            try:
-                points.append(surface_point(surface, x))
-            except NotOnSurface as exc:
-                raise NotOnSurface(f"line {lineno}: {exc}") from None
-    keys = [(height(x), x.coords) for x in points]
-    if keys != sorted(keys) or len(set(keys)) != len(keys):
+                    headers.append((lineno, _header_height(body, line, lineno)))
+                elif body.startswith("coeffs:") and body[7:].split() != coeffs:
+                    raise ParseError(f"line {lineno}: {line!r} is for another surface")
+            except ParseError as exc:
+                error = exc
+                break
+    X = _file_rows(raws)
+    heights = np.abs(X).sum(axis=1)
+    header_lines = [n for n, _ in headers]
+    # the header in force at each point; the entry past the headers is no limit
+    limit = np.array([h for _, h in headers] + [math.inf], dtype=object)
+    limit = limit[np.searchsorted(header_lines, lines) - 1]
+    canonical, nonzero = canonical_rows(X)
+    faulty = ~nonzero | (canonical != X).any(axis=1) | (eval_rows(surface.form, X) != 0)
+    faulty |= heights > limit
+    bad = np.flatnonzero(faulty)[:1].tolist()
+    first = lines[bad[0]] if bad else math.inf
+    # the highest point above each header, 0 for none
+    tops = np.maximum.accumulate([0, *heights.tolist()])[np.searchsorted(lines, header_lines)]
+    for (n, bound), top in zip(headers, tops.tolist()):
+        if bound < top and n < first:
+            raise ParseError(f"line {n}: height {bound} is below {top}, "
+                             "the height of a point above it")
+    if bad:
+        # the first faulty point: one of its checks fails
+        _check_point(surface, raws[bad[0]], first, limit[bad[0]])
+    if error is not None:
+        raise error
+    # (height, coordinates) rises strictly from each point to the next
+    steps = np.diff(np.column_stack([heights, X]), axis=0)
+    if not (_leads(steps) > 0).all():
         raise UnsortedInput(f"{path}: points not in (height, lex) order")
-    if bound is None:
-        bound = max((height(x) for x in points), default=1)
-    return PointRegistry(surface, bound, points)
+    bound = headers[-1][1] if headers else max(heights.tolist(), default=1)
+    return PointRegistry(surface, bound, [ProjPoint(x) for x in raws])
+
+
+def _coordinates(line: str, lineno: int) -> tuple[int, ...]:
+    try:
+        raw = tuple(map(int, line.split()))
+    except ValueError:
+        raise ParseError(f"line {lineno}: cannot parse {line!r}") from None
+    if len(raw) != 4:
+        raise ParseError(f"line {lineno}: expected 4 coordinates")
+    return raw
+
+
+def _header_height(body: str, line: str, lineno: int) -> int:
+    try:
+        bound = int(body.split(":", 1)[1])
+    except ValueError:
+        raise ParseError(f"line {lineno}: cannot parse {line!r}") from None
+    if bound < 1:
+        raise ParseError(f"line {lineno}: height {bound} is below 1")
+    return bound
+
+
+def _file_rows(raws: list[tuple[int, ...]]) -> np.ndarray:
+    """The points as rows: int64 while every |coordinate| < 2^61, so that no height wraps."""
+    try:
+        X = np.array(raws, dtype=np.int64).reshape(-1, 4)
+        if -(2**61) < X.min(initial=0) and X.max(initial=0) < 2**61:
+            return X
+    except OverflowError:
+        pass
+    return np.array(raws, dtype=object).reshape(-1, 4)
+
+
+def _check_point(surface: CubicSurface, raw: tuple[int, ...], lineno: int, limit) -> None:
+    """The checks of one point line, in order; the first that fails raises."""
+    x = normalize(raw, RATIONALS)
+    if x.coords != raw:
+        raise ParseError(f"line {lineno}: point not in normalized form")
+    try:
+        surface_point(surface, x)
+    except NotOnSurface as exc:
+        raise NotOnSurface(f"line {lineno}: {exc}") from None
+    if height(x) > limit:
+        raise ParseError(f"line {lineno}: point of height {height(x)} is above the "
+                         f"height {limit} of its header")

@@ -7,10 +7,20 @@ import time
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from cubicmw import build_report, build_table, cli, decompose, enumerate_points, height
+from cubicmw import (
+    __version__,
+    build_report,
+    build_table,
+    cli,
+    decompose,
+    enumerate_points,
+    height,
+    load_registry,
+)
 from cubicmw.cli import main
 
 P3_BASE = "1,0,0,5;0,1,0,0;0,0,1,0;1,1,1,0;1,2,3,0;1,4,9,0"
@@ -233,7 +243,7 @@ def test_enumerate_into_missing_directory_fails_before_any_work(tmp_path, capsys
 
 _json_ints = st.integers(-(2**70), 2**70)
 _json_str = st.text(st.characters() | st.sampled_from('∘"\\/\x00\x1f\n\t\x7f'), max_size=8)
-# rows of one width, as lists or as tuples (the report's strong pairs are tuples)
+# rows of one width, as lists or as tuples (json.dumps writes both as lists)
 _json_rows = st.integers(1, 4).flatmap(
     lambda width: st.lists(st.lists(_json_ints, min_size=width, max_size=width)
                            | st.tuples(*[_json_ints] * width), max_size=4))
@@ -251,6 +261,16 @@ def test_json_pieces_match_json_dumps(obj):
     assert "".join(cli.json_pieces(obj)) == json.dumps(obj, indent=1)
 
 
+def expected_report(points, coeffs: str) -> bytes:
+    """The bytes `decompose` should write: json.dumps of to_json_dict() and the config."""
+    coeffs = tuple(map(int, coeffs.split(",")))
+    report = build_report(build_table(load_registry(points, coeffs)))
+    payload = report.to_json_dict()
+    payload["config"] = {"coeffs": list(coeffs), "points_file": str(points),
+                         "version": __version__}
+    return (json.dumps(payload, indent=1) + "\n").encode()
+
+
 @pytest.mark.parametrize("coeffs, height", [("1,2,3,4", "300"), ("1,1,1,1", "24")])
 def test_decompose_report_bytes_are_json_dumps(tmp_path, capsys, coeffs, height):
     # the directory name puts a quote and the composition symbol into points_file
@@ -258,18 +278,46 @@ def test_decompose_report_bytes_are_json_dumps(tmp_path, capsys, coeffs, height)
     pts.parent.mkdir()
     report = tmp_path / "report.json"
     run(capsys, "enumerate", "--coeffs", coeffs, "--height", height, "--out", str(pts))
-    with mock.patch.object(cli, "json_pieces", wraps=cli.json_pieces) as writer:
-        code, _, _ = run(capsys, "decompose", "--points", str(pts), "--coeffs", coeffs,
-                         "--report", str(report))
+    code, _, _ = run(capsys, "decompose", "--points", str(pts), "--coeffs", coeffs,
+                     "--report", str(report))
     assert code == 0
-    payload = writer.call_args_list[0].args[0]
-    assert payload["config"]["points_file"] == str(pts)
-    assert report.read_bytes() == (json.dumps(payload, indent=1) + "\n").encode()
+    assert report.read_bytes() == expected_report(pts, coeffs)
+
+
+_nonzero = st.integers(-9, 9).filter(bool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(_nonzero, _nonzero, _nonzero, _nonzero), st.integers(1, 40))
+def test_report_bytes_on_random_surfaces(coeffs, bound):
+    registry = enumerate_points(coeffs, bound)
+    # (1, -1, 1, -1) has 837 points at H=40, and the table grows with their square
+    assume(0 < len(registry) <= 250)
+    coeffs = _csv(coeffs)
+    with tempfile.TemporaryDirectory() as tmp:
+        pts, out = os.path.join(tmp, "points.txt"), os.path.join(tmp, "report.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            # --coeffs=... as a leading minus sign would read as a flag
+            assert main(["enumerate", f"--coeffs={coeffs}", "--height", str(bound),
+                         "--out", pts]) == 0
+            assert main(["decompose", "--points", pts, f"--coeffs={coeffs}",
+                         "--report", out]) == 0
+        with open(out, "rb") as fh:
+            assert fh.read() == expected_report(pts, coeffs)
+    # rank 1 is always a generator and strong is often empty: the writer also on
+    # reports with no generators, no strong ranks, or neither
+    report = build_report(build_table(registry))
+    none = decompose.StrongRelations(np.zeros(0, dtype=np.int64), len(registry))
+    for strong, gens in [(report.strong, []), (none, report.generator_ranks), (none, [])]:
+        variant = decompose.DecompositionReport(registry, strong, report.weak_witnesses, gens)
+        text = "".join(cli.json_pieces(variant.json_fields()))
+        assert text == json.dumps(variant.to_json_dict(), indent=1)
 
 
 def test_report_writer_streams(tmp_path):
     registry = enumerate_points((1, 1, 1, 1), 24)
-    payload = build_report(build_table(registry)).to_json_dict()
+    report = build_report(build_table(registry))
+    payload, fields = report.to_json_dict(), report.json_fields()
 
     def peak(write):
         with open(tmp_path / "report.json", "w") as fh:
@@ -281,7 +329,7 @@ def test_report_writer_streams(tmp_path):
                 tracemalloc.stop()
 
     old = peak(lambda fh: json.dump(payload, fh, indent=1))
-    new = peak(lambda fh: fh.writelines(cli.json_pieces(payload)))
+    new = peak(lambda fh: fh.writelines(cli.json_pieces(fields)))
     assert new <= old
 
 
@@ -374,6 +422,10 @@ def test_plane_closure_q_requires_cap(capsys):
          None, "InvalidBound"),
         (["verify-relations", "--height", "-4"], None, "InvalidBound"),
         (["split-demo", "--samples", "3", "--base", P3_BASE], None, "DimensionMismatch"),
+        (["decompose", "--points", "{pts}", "--coeffs", "1,2,3,4", "--report", "{report}"],
+         "# height: 1\n1 0 1 -1\n", "ParseError"),
+        (["decompose", "--points", "{pts}", "--coeffs", "1,2,3,4", "--report", "{report}"],
+         "# height: -5\n1 0 1 -1\n", "ParseError"),
     ],
     ids=["zero-coefficient", "empty-points", "missing-points", "bad-height-header",
          "too-few-points", "other-surface-header", "pair-values-beyond-int64",
@@ -381,7 +433,7 @@ def test_plane_closure_q_requires_cap(capsys):
          "closure-negative-generations", "closure-seed-in-p3", "threads-env-not-a-number",
          "threads-env-zero", "threads-env-negative", "five-coefficients", "three-coefficients",
          "all-zero-coefficients", "enumerate-height-zero", "relations-height-negative",
-         "split-base-in-p3"],
+         "split-base-in-p3", "point-above-height-header", "height-header-below-one"],
 )
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, points_text, name):
     """argv may start with NAME=value environment assignments, as in a shell."""
@@ -444,6 +496,7 @@ _points_text = _mostly(
                      "0 0 1 -1\n1 -1 0 0\n", "1 0 1 -1\n1 1 -1 0\n1 -1 -1 1\n"]),
     st.one_of(st.none(), st.text(max_size=30), st.sampled_from(
         ["", "# height: abc\n1 0 1 -1\n", "1 1 1 1\n", "2 0 2 -2\n", "1 0 1\n",
+         "# height: 1\n1 0 1 -1\n", "# height: -5\n1 0 1 -1\n",
          "1 1 -1 0\n1 0 1 -1\n", "# coeffs: 1 1 1 1\n1 0 1 -1\n", "1 0 one -1\n"])),
 )
 # Flags of each subcommand and their values; "{out}" and "{pts}" name files in

@@ -187,8 +187,10 @@ def evaluate_parsed(registry, tree) -> set[tuple[int, ...]]:
 
 def table_items(table):
     """The table's outcomes: its rows as tuples, in table order, and the tangent items."""
-    assert table.in_vh.dtype == table.undefined.dtype == np.int64
+    assert table.in_vh.dtype == table.undefined.dtype == table.tangent_rows.dtype == np.int64
     assert table.in_vh.shape[1:] == (3,) and table.undefined.shape[1:] == (2,)
+    # the tangent mapping is the tangent rows grouped by their first entry
+    assert table.tangent_rows.tolist() == [[i, j] for i, row in table.tangent.items() for j in row]
     rows = [list(map(tuple, a.tolist())) for a in (table.in_vh, table.undefined)]
     return *rows, list(table.tangent.items())
 
@@ -255,7 +257,7 @@ def test_table_outcome_counts(request, name, in_registry, undefined, tangent_ent
     table = request.getfixturevalue(name)
     assert len(table.in_vh) == in_registry
     assert len(table.undefined) == undefined
-    assert sum(map(len, table.tangent.values())) == tangent_entries
+    assert len(table.tangent_rows) == sum(map(len, table.tangent.values())) == tangent_entries
 
 
 def test_table_holds_plain_ints(table_300, big_table):
@@ -607,8 +609,8 @@ def naive_cap(table, x):
     def reaches(cap):
         low = {k for k in range(1, len(reg) + 1) if height(reg.point(k)) <= cap}
         in_vh = table.in_vh[np.isin(table.in_vh[:, 2], list(low))]
-        tangent = {r: tuple(k for k in row if k in low) for r, row in table.tangent.items()}
-        capped = CompositionTable(reg, in_vh, table.undefined, tangent)
+        tangent_rows = table.tangent_rows[np.isin(table.tangent_rows[:, 1], list(low))]
+        capped = CompositionTable(reg, in_vh, table.undefined, tangent_rows)
         return x in naive_closure(capped, set(range(1, x)))[0]
 
     if not reaches(heights[-1]):

@@ -24,6 +24,7 @@ from cubicmw import (
 )
 from cubicmw.errors import (
     BoundTooLarge,
+    CubicError,
     InvalidBound,
     InvalidCoefficients,
     NotOnSurface,
@@ -410,3 +411,133 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text("2 0 2 -2\n")  # not primitive
     with pytest.raises(ParseError):
         load_registry(path, ZAGIER)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# height: 1\n1 0 1 -1\n", "line 2: point of height 3 is above the height 1 of its header"),
+    ("# height: -5\n1 0 1 -1\n", "line 1: height -5 is below 1"),
+    ("# height: 0\n", "line 1: height 0 is below 1"),
+    ("1 0 1 -1\n# height: 2\n", "line 2: height 2 is below 3, the height of a point above it"),
+])
+def test_load_rejects_points_above_the_height_header(tmp_path, text, message):
+    path = tmp_path / "points.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        load_registry(path, ZAGIER)
+    assert str(exc.value) == message
+
+
+def per_line_registry(path, coeffs):
+    """Reference loader: every check of a line runs when the line is read, in file order."""
+    surface = CubicSurface.diagonal(coeffs)
+    bound, top, points = None, 0, []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("height:"):
+                    try:
+                        bound = int(body.split(":", 1)[1])
+                    except ValueError:
+                        raise ParseError(f"line {lineno}: cannot parse {line!r}")
+                    if bound < 1:
+                        raise ParseError(f"line {lineno}: height {bound} is below 1")
+                    if bound < top:
+                        raise ParseError(f"line {lineno}: height {bound} is below {top}, "
+                                         "the height of a point above it")
+                elif body.startswith("coeffs:"):
+                    if body[7:].split() != [str(c) for c in coeffs]:
+                        raise ParseError(f"line {lineno}: {line!r} is for another surface")
+                continue
+            try:
+                raw = tuple(int(tok) for tok in line.split())
+            except ValueError:
+                raise ParseError(f"line {lineno}: cannot parse {line!r}")
+            if len(raw) != 4:
+                raise ParseError(f"line {lineno}: expected 4 coordinates")
+            x = normalize(raw)
+            if x.coords != raw:
+                raise ParseError(f"line {lineno}: point not in normalized form")
+            if eval_form(surface.form, x) != 0:
+                raise NotOnSurface(f"line {lineno}: {x} is not on the surface")
+            if bound is not None and height(x) > bound:
+                raise ParseError(f"line {lineno}: point of height {height(x)} is above the "
+                                 f"height {bound} of its header")
+            top = max(top, height(x))
+            points.append(x)
+    keys = [(height(x), x.coords) for x in points]
+    if keys != sorted(keys) or len(set(keys)) != len(keys):
+        raise UnsortedInput(f"{path}: points not in (height, lex) order")
+    return max((height(x) for x in points), default=1) if bound is None else bound, points
+
+
+def _mutate(lines, kind, i, k):
+    """lines with one change of the given kind at line i (mod the length); k sizes it."""
+    lines = list(lines)
+    if not lines:
+        return ["1 0 1 -1"] if kind == "insert" else lines
+    i %= len(lines)
+    tokens = lines[i].split()
+    coords = [int(t) for t in tokens] if len(tokens) == 4 and "#" not in lines[i] else None
+    if kind == "swap":
+        j = k % len(lines)
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "junk":
+        junk = ["x", "1.5", "--", "0x1", "#"][k % 5]
+        lines[i] = " ".join(tokens[:k % 5] + [junk] + tokens[k % 5:])
+    elif kind == "header":
+        lines.insert(i, f"# height: {k % 12 - 3 if k % 3 else k % 90}")
+    elif kind == "insert":
+        lines.insert(i, " ".join(map(str, [k % 7 - 3, k % 5 - 2, k % 3 - 1, k % 2])))
+    elif coords is not None:
+        if kind == "scale":
+            coords = [c * (k % 3 + 2) for c in coords]
+        elif kind == "sign":
+            coords[k % 4] = -coords[k % 4]
+        elif kind == "drop":
+            del coords[k % 4]
+        elif kind == "off":
+            coords[k % 4] += 1
+        elif kind == "huge":
+            coords[k % 4] = [2**61, -(2**61), 2**63, 2**70][k % 4]
+        elif kind == "zero":
+            coords = [0, 0, 0, 0]
+        lines[i] = " ".join(map(str, coords))
+    return lines
+
+
+_KINDS = ["swap", "duplicate", "junk", "header", "insert", "scale", "sign", "drop", "off",
+          "huge", "zero"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([ZAGIER, (1, 1, 1, 1)]), st.integers(1, 30),
+       st.lists(st.tuples(st.sampled_from(_KINDS), st.integers(0, 10**4), st.integers(0, 10**4)),
+                max_size=3))
+def test_loader_matches_per_line_oracle(coeffs, bound, mutations):
+    """The row checks raise what one line at a time would: the first faulty line wins."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "points.txt")
+        save_registry(enumerate_points(coeffs, bound), path)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        for mutation in mutations:
+            lines = _mutate(lines, *mutation)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+
+        def outcome(load):
+            try:
+                result = load(path, coeffs)
+            except CubicError as exc:
+                return type(exc), str(exc)
+            if isinstance(result, tuple):
+                return result
+            return result.bound, result.points
+
+        assert outcome(load_registry) == outcome(per_line_registry)
