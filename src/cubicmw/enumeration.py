@@ -51,9 +51,9 @@ cross-check it in tests.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -65,9 +65,10 @@ from .errors import (
     NotOnSurface,
     ParseError,
     UnsortedInput,
+    ZeroVector,
 )
-from .geometry import RATIONALS, ProjPoint, _leads, canonical_rows, eval_rows, normalize
-from .surface import CubicSurface, height, surface_point
+from .geometry import ProjPoint, canonical_rows, eval_rows
+from .surface import CubicSurface, surface_point
 
 _ORACLE_CAP = 200
 _CHUNK_ENTRIES = 1 << 15  # pruned pair entries a side in one value-range chunk, on average
@@ -80,11 +81,10 @@ class PointRegistry:
     surface: CubicSurface
     bound: int
     points: list[ProjPoint]
-    index: dict[tuple[int, ...], int] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.index:
-            self.index = {x.coords: r for r, x in enumerate(self.points, start=1)}
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        return {x.coords: r for r, x in enumerate(self.points, start=1)}
 
     def __len__(self):
         return len(self.points)
@@ -379,16 +379,18 @@ def save_registry(registry: PointRegistry, path, extra_header: list[str] | None 
 def load_registry(path, surface: CubicSurface | tuple) -> PointRegistry:
     """Read a point file back, validating equation, normalization, heights and order.
 
-    The lines are parsed one at a time, up to the first that cannot be, and
-    the points read are then checked as rows, so the first faulty line
-    raises as a check of one line at a time would.  A point is faulty when
-    it is zero, not normalized, off the surface or higher than the
-    `# height:` header in force at its line (the last one above it); a
-    height header when it is below 1 or below a point above it.
+    Each check runs once and forms its own message; the first faulty line
+    raises.  The read loop checks on Python ints the headers (at least 1,
+    and no lower than a point above), the heights (none above the
+    `# height:` header in force at its line) and the (height, coordinates)
+    order, and stops at the first line that fails, keeping it if it is a
+    point.  The points read are then checked as rows: zero, not normalized,
+    off the surface.  An order fault raises only when nothing else is wrong.
     """
     surface = _diagonal_surface(surface)
     coeffs = [str(c) for c in _diagonal_coeffs(surface)]
-    raws, lines, headers, error = [], [], [], None
+    raws, lines, error = [], [], None
+    bound, top, last, ordered = None, 0, (), True
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -396,45 +398,49 @@ def load_registry(path, surface: CubicSurface | tuple) -> PointRegistry:
                 continue
             try:
                 if not line.startswith("#"):
-                    raws.append(_coordinates(line, lineno))
+                    raw = _coordinates(line, lineno)
+                    raws.append(raw)
                     lines.append(lineno)
+                    x1, x2, x3, x4 = raw
+                    h = abs(x1) + abs(x2) + abs(x3) + abs(x4)
+                    if bound is not None and h > bound:
+                        raise ParseError(f"line {lineno}: point of height {h} is above the "
+                                         f"height {bound} of its header")
+                    if h > top:
+                        top = h
+                    key = (h, raw)
+                    if key <= last:
+                        ordered = False
+                    last = key
                     continue
                 body = line[1:].strip()
                 if body.startswith("height:"):
-                    headers.append((lineno, _header_height(body, line, lineno)))
+                    bound = _header_height(body, line, lineno)
+                    if bound < top:
+                        raise ParseError(f"line {lineno}: height {bound} is below {top}, "
+                                         "the height of a point above it")
                 elif body.startswith("coeffs:") and body[7:].split() != coeffs:
                     raise ParseError(f"line {lineno}: {line!r} is for another surface")
             except ParseError as exc:
                 error = exc
                 break
     X = _file_rows(raws)
-    heights = np.abs(X).sum(axis=1)
-    header_lines = [n for n, _ in headers]
-    # the header in force at each point; the entry past the headers is no limit
-    limit = np.array([h for _, h in headers] + [math.inf], dtype=object)
-    limit = limit[np.searchsorted(header_lines, lines) - 1]
     canonical, nonzero = canonical_rows(X)
-    faulty = ~nonzero | (canonical != X).any(axis=1) | (eval_rows(surface.form, X) != 0)
-    faulty |= heights > limit
-    bad = np.flatnonzero(faulty)[:1].tolist()
-    first = lines[bad[0]] if bad else math.inf
-    # the highest point above each header, 0 for none
-    tops = np.maximum.accumulate([0, *heights.tolist()])[np.searchsorted(lines, header_lines)]
-    for (n, bound), top in zip(headers, tops.tolist()):
-        if bound < top and n < first:
-            raise ParseError(f"line {n}: height {bound} is below {top}, "
-                             "the height of a point above it")
-    if bad:
-        # the first faulty point: one of its checks fails
-        _check_point(surface, raws[bad[0]], first, limit[bad[0]])
+    normal = (canonical == X).all(axis=1)
+    bad = np.flatnonzero(~nonzero | ~normal | (eval_rows(surface.form, X) != 0))
+    if len(bad):
+        i = int(bad[0])
+        if not nonzero[i]:
+            raise ZeroVector(f"line {lines[i]}: zero vector {raws[i]}")
+        if not normal[i]:
+            raise ParseError(f"line {lines[i]}: point not in normalized form")
+        raise NotOnSurface(f"line {lines[i]}: {ProjPoint(raws[i])} is not on "
+                           f"{surface.label or 'the surface'}")
     if error is not None:
         raise error
-    # (height, coordinates) rises strictly from each point to the next
-    steps = np.diff(np.column_stack([heights, X]), axis=0)
-    if not (_leads(steps) > 0).all():
+    if not ordered:
         raise UnsortedInput(f"{path}: points not in (height, lex) order")
-    bound = headers[-1][1] if headers else max(heights.tolist(), default=1)
-    return PointRegistry(surface, bound, [ProjPoint(x) for x in raws])
+    return PointRegistry(surface, bound or top or 1, [ProjPoint(x) for x in raws])
 
 
 def _coordinates(line: str, lineno: int) -> tuple[int, ...]:
@@ -458,25 +464,11 @@ def _header_height(body: str, line: str, lineno: int) -> int:
 
 
 def _file_rows(raws: list[tuple[int, ...]]) -> np.ndarray:
-    """The points as rows: int64 while every |coordinate| < 2^61, so that no height wraps."""
+    """The points as rows: int64 unless a coordinate is -2^63 (its sign flip wraps) or beyond."""
     try:
         X = np.array(raws, dtype=np.int64).reshape(-1, 4)
-        if -(2**61) < X.min(initial=0) and X.max(initial=0) < 2**61:
+        if X.min(initial=0) > -(2**63):
             return X
     except OverflowError:
         pass
     return np.array(raws, dtype=object).reshape(-1, 4)
-
-
-def _check_point(surface: CubicSurface, raw: tuple[int, ...], lineno: int, limit) -> None:
-    """The checks of one point line, in order; the first that fails raises."""
-    x = normalize(raw, RATIONALS)
-    if x.coords != raw:
-        raise ParseError(f"line {lineno}: point not in normalized form")
-    try:
-        surface_point(surface, x)
-    except NotOnSurface as exc:
-        raise NotOnSurface(f"line {lineno}: {exc}") from None
-    if height(x) > limit:
-        raise ParseError(f"line {lineno}: point of height {height(x)} is above the "
-                         f"height {limit} of its header")

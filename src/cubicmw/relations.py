@@ -50,10 +50,10 @@ from .geometry import (
 from .planecubic import PlaneCubic, _tangent_value, curve_rows
 # bench/workload.py counts calls of relations.secant_compose; the batched
 # compositions of the registry suites are not such calls
-from .surface import (  # noqa: F401
+from .surface import (
     compose_rows,
     point_rows,
-    secant_compose,
+    secant_compose,  # noqa: F401
     third_rows,
 )
 

@@ -426,6 +426,8 @@ def test_plane_closure_q_requires_cap(capsys):
          "# height: 1\n1 0 1 -1\n", "ParseError"),
         (["decompose", "--points", "{pts}", "--coeffs", "1,2,3,4", "--report", "{report}"],
          "# height: -5\n1 0 1 -1\n", "ParseError"),
+        (["decompose", "--points", "{pts}", "--coeffs", "1,2,3,4", "--report", "{report}"],
+         "1 0 1 -1\n0 0 0 0\n", "ZeroVector: line 2"),
     ],
     ids=["zero-coefficient", "empty-points", "missing-points", "bad-height-header",
          "too-few-points", "other-surface-header", "pair-values-beyond-int64",
@@ -433,7 +435,8 @@ def test_plane_closure_q_requires_cap(capsys):
          "closure-negative-generations", "closure-seed-in-p3", "threads-env-not-a-number",
          "threads-env-zero", "threads-env-negative", "five-coefficients", "three-coefficients",
          "all-zero-coefficients", "enumerate-height-zero", "relations-height-negative",
-         "split-base-in-p3", "point-above-height-header", "height-header-below-one"],
+         "split-base-in-p3", "point-above-height-header", "height-header-below-one",
+         "zero-point"],
 )
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, points_text, name):
     """argv may start with NAME=value environment assignments, as in a shell."""

@@ -9,7 +9,7 @@ import threading
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cubicmw import (
     CubicSurface,
@@ -30,6 +30,7 @@ from cubicmw.errors import (
     NotOnSurface,
     ParseError,
     UnsortedInput,
+    ZeroVector,
 )
 
 ZAGIER = (1, 2, 3, 4)
@@ -418,6 +419,10 @@ def test_load_rejects_malformed(tmp_path):
     ("# height: -5\n1 0 1 -1\n", "line 1: height -5 is below 1"),
     ("# height: 0\n", "line 1: height 0 is below 1"),
     ("1 0 1 -1\n# height: 2\n", "line 2: height 2 is below 3, the height of a point above it"),
+    # the last point is off the surface, but the header above it is the first
+    # fault; a height of 2^63 must not turn the highest height into a float
+    ("1 0 1 -1\n# height: 2\n1 1 9223372036854775808 0\n",
+     "line 2: height 2 is below 3, the height of a point above it"),
 ])
 def test_load_rejects_points_above_the_height_header(tmp_path, text, message):
     path = tmp_path / "points.txt"
@@ -458,7 +463,10 @@ def per_line_registry(path, coeffs):
                 raise ParseError(f"line {lineno}: cannot parse {line!r}")
             if len(raw) != 4:
                 raise ParseError(f"line {lineno}: expected 4 coordinates")
-            x = normalize(raw)
+            try:
+                x = normalize(raw)
+            except ZeroVector as exc:
+                raise ZeroVector(f"line {lineno}: {exc}")
             if x.coords != raw:
                 raise ParseError(f"line {lineno}: point not in normalized form")
             if eval_form(surface.form, x) != 0:
@@ -519,6 +527,7 @@ _KINDS = ["swap", "duplicate", "junk", "header", "insert", "scale", "sign", "dro
 @given(st.sampled_from([ZAGIER, (1, 1, 1, 1)]), st.integers(1, 30),
        st.lists(st.tuples(st.sampled_from(_KINDS), st.integers(0, 10**4), st.integers(0, 10**4)),
                 max_size=3))
+@example((1, 2, 3, 4), 21, [("header", 111, 16), ("huge", 4, 2)])
 def test_loader_matches_per_line_oracle(coeffs, bound, mutations):
     """The row checks raise what one line at a time would: the first faulty line wins."""
     with tempfile.TemporaryDirectory() as tmp:

@@ -2,10 +2,11 @@
 
 No linter runs on the package, so this walks each module's syntax tree:
 a name bound by an import must be read somewhere in the module.  Package
-`__init__.py` files re-export, and a line marked `# noqa: F401` keeps an
-import on purpose.  Exact kernels work on Python ints alone, so no module
-may import `fractions`.  Beyond the standard library a module may import
-only the dependencies that pyproject.toml declares (numpy alone), so test
+`__init__.py` files re-export, and `# noqa: F401` on the line of an
+imported name keeps that name on purpose, and no other name of its
+statement.  Exact kernels work on Python ints alone, so no module may
+import `fractions`.  Beyond the standard library a module may import only
+the dependencies that pyproject.toml declares (numpy alone), so test
 tools such as sympy and scipy stay out of the package and of its import
 time.
 """
@@ -49,18 +50,19 @@ def unused_imports(source: str) -> list[str]:
     lines = source.splitlines()
     bound = []
     for node in import_nodes(tree):
-        if any("# noqa: F401" in lines[i - 1] for i in range(node.lineno, node.end_lineno + 1)):
-            continue
         for alias in node.names:
-            name = alias.asname or alias.name.split(".")[0]
-            bound.append((node.lineno, name))
+            if "# noqa: F401" not in lines[alias.lineno - 1]:
+                bound.append((alias.lineno, alias.asname or alias.name.split(".")[0]))
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return [f"{line}: {name}" for line, name in sorted(bound) if name not in read]
 
 
 def test_unused_imports_are_found():
-    source = "import os\nimport sys  # noqa: F401\nfrom math import gcd, lcm\nprint(lcm)\n"
-    assert unused_imports(source) == ["1: os", "3: gcd"]
+    source = (
+        "import os\nimport sys  # noqa: F401\nfrom math import gcd, lcm\nprint(lcm)\n"
+        "from json import (  # noqa: F401\n    dumps,\n    loads,  # noqa: F401\n)\n"
+    )
+    assert unused_imports(source) == ["1: os", "3: gcd", "6: dumps"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
