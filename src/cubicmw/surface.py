@@ -118,31 +118,32 @@ def point_rows(form: CubicForm, points) -> tuple[np.ndarray, np.ndarray]:
 
 
 def third_rows(
-    form: CubicForm, X, Y, GX=None, GY=None, p: int | None = None
-) -> np.ndarray:
-    """c2·x − c1·y for each row pair of X and Y: `secant_compose` up to a scalar.
+    form: CubicForm, X, Y, GX=None, GY=None, p: int | None = None, divide: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """(c2·x − c1·y, c1) for each row pair of X and Y: `secant_compose` up to a scalar.
 
     X, Y, GX and GY are as for `compose_rows`; a missing gradient is dotted
-    term by term.  The row is zero exactly where `secant_compose` raises
-    (distinct points are independent; at y = λx Euler's identity gives
-    c2·x = c1·y) or an input row is zero, and at λx and μy it is λ²μ²
-    times the row at x and y.
-    Over Q, c1 and c2 are first divided by gcd(c1, c2), a multiple of λμ,
-    so a chain does not pile up its steps' scalars, and the row is an
-    object row of Python ints: a composed point's gradient can pass 2^63
-    where the points' own cannot.  On int64 rows of `point_rows` the
-    undivided row already fits in int64.  Over F_p the rows are int64 and
-    hold the row's residues.
+    term by term.  c1 = grad F(x)·y and c2 = grad F(y)·x.  The row is zero
+    exactly where `secant_compose` raises (distinct points are independent;
+    at y = λx Euler's identity gives c2·x = c1·y) or an input row is zero,
+    and at λx and μy it is λ²μ² times the row at x and y; c1 is zero
+    exactly there and where the row is a multiple of x.
+    Over Q, unless divide is False, c1 and c2 are first divided by
+    gcd(c1, c2), a multiple of λμ, so a chain does not pile up its steps'
+    scalars, and the row is an object row of Python ints: a composed
+    point's gradient can pass 2^63 where the points' own cannot.  On int64
+    rows of `point_rows` the undivided row already fits in int64.  Over F_p
+    the rows are int64 and hold the row's residues.
     """
     c1 = gradient_dot_rows(form, X, Y, p) if GX is None else dot_rows(GX, Y, p)
     c2 = gradient_dot_rows(form, Y, X, p) if GY is None else dot_rows(GY, X, p)
-    if p is None:
+    if p is None and divide:
         g = np.gcd(c1, c2)
         g[g == 0] = 1
         c1, c2 = c1 // g, c2 // g
     raw = c2[:, None] * X
     raw -= c1[:, None] * Y  # in place: one array of big integers fewer at the peak
-    return raw if p is not None else raw.astype(object, copy=False)
+    return (raw if p is not None else raw.astype(object, copy=False)), c1
 
 
 def compose_rows(
@@ -158,7 +159,7 @@ def compose_rows(
     and an object array over Q, and ok False exactly where
     `secant_compose` raises, where Z's row is zero.
     """
-    return canonical_rows(third_rows(form, X, Y, GX, GY, p), p)
+    return canonical_rows(third_rows(form, X, Y, GX, GY, p)[0], p)
 
 
 def on_tangent_section(surface: CubicSurface, x: ProjPoint, y: ProjPoint) -> bool:

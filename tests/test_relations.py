@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -129,22 +130,23 @@ def per_step_sextuple_check(form, P, G):
 
 
 _RUN = relations._run
+_CHAIN = relations._chain_outcomes
 
 
 @pytest.mark.parametrize(
     "coeffs, height, trials, seed",
-    [((1, 2, 3, 4), 1100, 1500, 1), ((1, 1, 1, 1), 30, 150, 11)],
-    ids=["zagier-1100", "fermat-30"],
+    [((1, 2, 3, 4), 1100, 1500, 1), ((1, 1, 1, 1), 30, 150, 11), ((1, 2, 3, 4), 200, 1500, 0)],
+    ids=["zagier-1100", "fermat-30", "zagier-200"],
 )
 def test_sextuple_outcomes_match_per_step_chain(monkeypatch, coeffs, height, trials, seed):
-    # draw by draw, skips included: the projective chain is defined, and
+    # draw by draw, skips included: the two-sided check is defined, and
     # holds, exactly where the chain of canonical points is and does
     reg = enumerate_points(coeffs, height)
     form = reg.surface.form
     for dtype in row_paths(monkeypatch, reg):
         reference = per_step_sextuple_check(form, *point_rows(form, reg.points))
         for batch in (relations._BATCH, 7, 1):
-            got, want = [], []
+            got, want, settled = [], [], []
 
             def run(name, trials, draw, check):
                 def both(draws):
@@ -155,10 +157,78 @@ def test_sextuple_outcomes_match_per_step_chain(monkeypatch, coeffs, height, tri
 
                 return _RUN(name, trials, draw, both)
 
+            def chain_outcomes(*args):
+                out = _CHAIN(*args)
+                settled.extend(out)
+                return out
+
             monkeypatch.setattr(relations, "_run", run)
+            monkeypatch.setattr(relations, "_chain_outcomes", chain_outcomes)
             monkeypatch.setattr(relations, "_BATCH", batch)
             sextuple_suite(reg, trials, seed)
             assert None in got and got == want, (dtype, batch)
+            # the routes: passes on the two sides, skips where side A is
+            # zero, and draws settled by the chain continued from A
+            routes = (got.count(True) - settled.count(True),
+                      got.count(None) - settled.count(None), len(settled))
+            if coeffs == (1, 2, 3, 4):
+                assert min(routes) > 0, (dtype, batch, routes)
+
+
+def test_sextuple_chain_from_side_a_decides_like_per_step_chain(monkeypatch, registry_200):
+    # with no draw passing on the two sides, every draw with a nonzero side
+    # A is settled by the chain continued from it, passes included
+    form = registry_200.surface.form
+    reference = per_step_sextuple_check(form, *point_rows(form, registry_200.points))
+    got, want = [], []
+
+    def run(name, trials, draw, check):
+        def both(draws):
+            out = check(draws)
+            got.extend(out)
+            want.extend(reference(draws))
+            return out
+
+        return _RUN(name, trials, draw, both)
+
+    monkeypatch.setattr(relations, "_run", run)
+    monkeypatch.setattr(relations, "_proportional", lambda U, V: np.zeros(len(U), bool))
+    result = sextuple_suite(registry_200, 1000, 3)
+    assert result.passes == 1000 and got == want
+
+
+def is_multiple(u, v):
+    """Whether v = q·u for a nonzero rational q, on Fractions."""
+    if not any(u) or not any(v):
+        return False
+    q = next(Fraction(b, a) for a, b in zip(u, v) if a)
+    return all(Fraction(b) == q * a for a, b in zip(u, v))
+
+
+nonzero = st.integers(-(2**80), 2**80).filter(bool)
+entries = st.sampled_from([0, 1, 2**63, -(2**64) - 3]) | st.integers(-(2**70), 2**70)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(entries, min_size=4, max_size=4),
+    st.lists(entries, min_size=4, max_size=4),
+    nonzero, nonzero, st.integers(0, 3),
+)
+def test_proportional_rows(row, other, lam, mu, k):
+    # object rows with entries past 2^63 and zero columns: λ·r and μ·r are
+    # proportional, a zero row never is, and other rows as the oracle says,
+    # among them μ·r with one entry moved by 1
+    r = np.array([row], dtype=object)
+    zero = np.zeros_like(r)
+    assert relations._proportional(lam * r, mu * r).tolist() == [any(row)]
+    assert relations._proportional(zero, r).tolist() == [False]
+    assert relations._proportional(r, zero).tolist() == [False]
+    near = [mu * a + (i == k) for i, a in enumerate(row)]
+    for v in (other, near):
+        o = np.array([v], dtype=object)
+        assert relations._proportional(r, o).tolist() == [is_multiple(row, v)]
+        assert relations._proportional(o, r).tolist() == [is_multiple(v, row)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -170,8 +240,8 @@ def test_third_rows_int64_edge(rows, signs):
     # the form Σ s_i·(a + i)·x_i³ at the largest a for which `point_rows`
     # keeps the rows int64, where c2·x − c1·y reaches about 2^58, and at
     # a + 1, where it falls back: third_rows on the rows, with the
-    # gradients looked up or dotted term by term, equals its result on
-    # Python ints
+    # gradients looked up or dotted term by term, divided by gcd(c1, c2) or
+    # not, equals its result on Python ints, rows and c1 alike
     M = max(abs(c) for r in rows for c in r)
 
     def guard(a):  # 32·max|grad F|·max|x|², as `point_rows` computes it
@@ -188,11 +258,14 @@ def test_third_rows_int64_edge(rows, signs):
         P, G = point_rows(form, pts)
         assert P.dtype == G.dtype == dtype
         Q, H = P.astype(object), G.astype(object)
-        exact = third_rows(form, Q[x], Q[y], H[x], H[y])
-        assert exact.dtype == object
-        for GX, GY in ((G[x], G[y]), (None, None)):
-            assert third_rows(form, P[x], P[y], GX, GY).tolist() == exact.tolist()
-        assert third_rows(form, Q[x], Q[y]).tolist() == exact.tolist()
+        for divide in (True, False):
+            exact = third_rows(form, Q[x], Q[y], H[x], H[y], divide=divide)
+            assert exact[0].dtype == object
+            for GX, GY in ((G[x], G[y]), (None, None)):
+                got = third_rows(form, P[x], P[y], GX, GY, divide=divide)
+                assert [r.tolist() for r in got] == [r.tolist() for r in exact]
+            got = third_rows(form, Q[x], Q[y], divide=divide)
+            assert [r.tolist() for r in got] == [r.tolist() for r in exact]
 
 
 def per_draw_tangent_consistency(registry, trials, seed):

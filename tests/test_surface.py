@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -164,17 +165,21 @@ def test_compose_rows_match_secant_compose(registry_200, registry_fermat_30, fer
             assert not defined and not any(z)
         else:
             assert defined and tuple(z) == expected.coords
-    # third_rows, on the pairs and on the pairs scaled by λ and μ: a nonzero
-    # multiple of the composition where it is defined, zero where it is not
+    # third_rows, on the pairs and on the pairs scaled by λ and μ, with c1
+    # and c2 divided by their gcd or not: a nonzero multiple of the
+    # composition where it is defined, zero where it is not, and c1 zero
+    # exactly where the composition is undefined or x itself
+    moved = [ok_ and tuple(z) != x.coords for (x, _), z, ok_ in zip(pairs, Z.tolist(), ok.tolist())]
     scale = st.integers(-(2**70), 2**70).filter(bool)
     lam, mu = (
         np.array(data.draw(st.lists(scale, min_size=len(pairs), max_size=len(pairs))),
                  dtype=object)[:, None]
         for _ in range(2)
     )
-    for A, B in ((X, Y), (lam * X, mu * Y)):
-        R = third_rows(surface.form, A, B)
+    for (A, B), divide in itertools.product(((X, Y), (lam * X, mu * Y)), (True, False)):
+        R, c1 = third_rows(surface.form, A, B, divide=divide)
         assert R.dtype == object
+        assert (c1 != 0).tolist() == moved
         assert R.any(axis=1).tolist() == ok.tolist()
         minors = R[:, :, None] * Z[:, None, :] - R[:, None, :] * Z[:, :, None]
         assert not (minors != 0).any()
